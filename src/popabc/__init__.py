@@ -17,7 +17,7 @@ from .diagnostics import (
     weighted_quantile,
 )
 from .errors import BudgetExhausted, ConfigError, DegeneratePopulation
-from .kernel import KernelScale, adapt_scale, kernel_logdensity, perturb, weighted_moments
+from .kernel import KernelScale, adapt_scale, perturb, weighted_moments
 from .models import (
     IndependentNormalPrior,
     ModelSpec,
@@ -27,7 +27,6 @@ from .models import (
 from .samplers import (
     AutoSchedule,
     MCMCResult,
-    Particle,
     Population,
     ToleranceSchedule,
     abc_mcmc,
@@ -36,7 +35,6 @@ from .samplers import (
     abc_rejection,
     pmc_log_weights,
     prc_log_weights,
-    resample_index,
 )
 
 __version__ = "0.1.0"
@@ -52,7 +50,6 @@ __all__ = [
     "MCMCResult",
     "ModelSpec",
     "OracleComparison",
-    "Particle",
     "Population",
     "PosteriorOracle",
     "ToleranceSchedule",
@@ -66,12 +63,10 @@ __all__ = [
     "distance",
     "ess",
     "generation_stats",
-    "kernel_logdensity",
     "ks_two_sample",
     "perturb",
     "pmc_log_weights",
     "prc_log_weights",
-    "resample_index",
     "weighted_moments",
     "weighted_quantile",
 ]

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
 
@@ -96,11 +97,25 @@ def _dispatch(cfg: RunConfig, model, seed: int, on_generation):
         return extra
     sampler = abc_pmc if cfg.algorithm == "pmc" else abc_prc
     sampler(
-        model, cfg.build_schedule(), cfg.n_particles,
+        model, cfg.schedule, cfg.n_particles,
         seed=seed, budget=cfg.budget, workers=cfg.workers,
         kernel_mode=cfg.kernel_mode, on_generation=on_generation,
     )
     return None
+
+
+@contextmanager
+def _failure_path():
+    """Yield the report's status, error and partial-generation block, which a
+    budget or degenerate-population failure fills in instead of raising."""
+    outcome = {"status": "ok", "error": None, "partial": None}
+    try:
+        yield outcome
+    except BudgetExhausted as exc:
+        partial = {"requested": exc.requested, "accepted": exc.accepted, "sims_used": exc.sims_used}
+        outcome.update(status="budget-exhausted", error=str(exc), partial=partial)
+    except DegeneratePopulation as exc:
+        outcome.update(status="degenerate-population", error=str(exc))
 
 
 def execute_run(cfg: RunConfig, seed: int | None = None, persist_to: Path | None = None):
@@ -126,19 +141,14 @@ def execute_run(cfg: RunConfig, seed: int | None = None, persist_to: Path | None
             file=sys.stderr,
         )
 
-    status, error = "ok", None
     started = time.perf_counter()
-    try:
+    with _failure_path() as outcome:
         mcmc_extra = _dispatch(cfg, model, seed, on_generation)
-    except BudgetExhausted as exc:
-        status, error = "budget-exhausted", str(exc)
-    except DegeneratePopulation as exc:
-        status, error = "degenerate-population", str(exc)
     wall = time.perf_counter() - started
 
     oracle = benchmarks.get_oracle(cfg.model)
     oracle_block = None
-    if oracle is not None and status == "ok" and populations:
+    if oracle is not None and outcome["status"] == "ok" and populations:
         final = populations[-1]
         oracle_block = asdict(compare_to_oracle(final.thetas, final.weights, oracle))
 
@@ -147,25 +157,27 @@ def execute_run(cfg: RunConfig, seed: int | None = None, persist_to: Path | None
         block = asdict(generation_stats(pop))
         block["scale"] = _scale_payload(pop.scale)
         generations.append(block)
+    sims_used = sum(p.sims_used for p in populations)
+    if outcome["partial"] is not None:
+        sims_used += outcome["partial"]["sims_used"]
 
     report = {
         "config": cfg.raw,
         "algorithm": cfg.algorithm,
         "model": cfg.model,
         "seed": seed,
-        "status": status,
-        "error": error,
+        **outcome,
         "generations": generations,
         "mcmc": mcmc_extra,
         "totals": {
-            "sims_used": int(sum(p.sims_used for p in populations)),
+            "sims_used": int(sims_used),
             "wall_time_s": wall,
         },
         "oracle_comparison": oracle_block,
     }
     if out_dir is not None:
         persist.write_report(out_dir / "report.json", report)
-    return (0 if status == "ok" else 3), report, populations
+    return (0 if outcome["status"] == "ok" else 3), report, populations
 
 
 def execute_compare(cfg: CompareConfig):
@@ -179,8 +191,7 @@ def execute_compare(cfg: CompareConfig):
     started = time.perf_counter()
     model = _get_model(cfg.model)
     algorithms = {}
-    status, error = "ok", None
-    try:
+    with _failure_path() as outcome:
         for run_cfg in cfg.algorithms:
             rows = []
             for r in range(cfg.replicates):
@@ -197,9 +208,7 @@ def execute_compare(cfg: CompareConfig):
                         "replicate": r,
                         "seed": seed_r,
                         "sims_used": total_sims,
-                        "mean_abs_err": metrics.mean_abs_err,
-                        "var_rel_err": metrics.var_rel_err,
-                        "ks_statistic": metrics.ks_statistic,
+                        **asdict(metrics),
                         "weighted_mean": w_mean,
                         "weighted_var": w_var,
                     }
@@ -213,13 +222,9 @@ def execute_compare(cfg: CompareConfig):
                 },
                 "total_sims": int(sum(row["sims_used"] for row in rows)),
             }
-    except BudgetExhausted as exc:
-        status, error = "budget-exhausted", str(exc)
-    except DegeneratePopulation as exc:
-        status, error = "degenerate-population", str(exc)
 
     winner = {}
-    if status == "ok":
+    if outcome["status"] == "ok":
         for key in ("mean_abs_err", "var_rel_err", "ks_statistic"):
             winner[key] = min(algorithms, key=lambda a: algorithms[a]["means"][key])
         winner["sims_used"] = min(algorithms, key=lambda a: algorithms[a]["total_sims"])
@@ -230,8 +235,7 @@ def execute_compare(cfg: CompareConfig):
         "master_seed": cfg.seed,
         "replicates": cfg.replicates,
         "final_epsilon": cfg.algorithms[0].final_epsilon,
-        "status": status,
-        "error": error,
+        **outcome,
         "algorithms": algorithms,
         "winner": winner or None,
         "totals": {
@@ -243,7 +247,7 @@ def execute_compare(cfg: CompareConfig):
         out_dir = Path(cfg.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         persist.write_report(out_dir / "comparison.json", report)
-    return (0 if status == "ok" else 3), report
+    return (0 if outcome["status"] == "ok" else 3), report
 
 
 def _print_run_summary(report: dict):
@@ -310,9 +314,6 @@ def main(argv=None) -> int:
     except (ConfigError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (BudgetExhausted, DegeneratePopulation) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

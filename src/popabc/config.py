@@ -8,8 +8,10 @@ sequential samplers, ``epsilon`` for rejection, ``epsilon``/``n_iter``/
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import yaml
 
@@ -20,12 +22,7 @@ ALGORITHMS = ("rejection", "pmc", "prc", "mcmc")
 POPULATION_ALGORITHMS = ("rejection", "pmc", "prc")
 SEQUENTIAL_ALGORITHMS = ("pmc", "prc")
 
-_RUN_KEYS = {
-    "algorithm", "model", "seed", "n_particles", "schedule", "epsilon",
-    "workers", "budget", "out_dir", "kernel", "auto_schedule",
-    "n_iter", "burn_in", "proposal_sd", "name",
-}
-_COMPARE_KEYS = {"model", "seed", "replicates", "out_dir", "workers", "budget", "algorithms"}
+_REQUIRED = object()  # default of a key that the algorithms reading it must give
 
 
 @dataclass(frozen=True)
@@ -34,14 +31,12 @@ class RunConfig:
     model: str
     seed: int
     n_particles: int | None = None
-    schedule: tuple[float, ...] | None = None
+    schedule: ToleranceSchedule | AutoSchedule | None = None
     epsilon: float | None = None
     workers: int | str = 1
     budget: int | None = None
     out_dir: str | None = None
     kernel_mode: str = "diagonal"
-    auto_schedule_quantile: float | None = None
-    auto_schedule_generations: int | None = None
     n_iter: int | None = None
     burn_in: int = 0
     proposal_sd: float | list[float] | None = None
@@ -54,20 +49,11 @@ class RunConfig:
 
     @property
     def final_epsilon(self) -> float:
-        if self.algorithm in SEQUENTIAL_ALGORITHMS and self.auto_schedule_quantile is None:
-            return self.schedule[-1]
-        if self.algorithm in SEQUENTIAL_ALGORITHMS:
+        if isinstance(self.schedule, AutoSchedule):
             raise ConfigError("auto-scheduled runs have no fixed final tolerance")
+        if self.schedule is not None:
+            return self.schedule.epsilons[-1]
         return self.epsilon
-
-    def build_schedule(self):
-        if self.auto_schedule_quantile is not None:
-            return AutoSchedule(
-                first_epsilon=self.schedule[0],
-                quantile=self.auto_schedule_quantile,
-                n_generations=self.auto_schedule_generations,
-            )
-        return ToleranceSchedule(self.schedule)
 
 
 @dataclass(frozen=True)
@@ -82,198 +68,161 @@ class CompareConfig:
     raw: dict = field(default_factory=dict, compare=False)
 
 
-def _require(doc: dict, key: str, context: str):
-    if key not in doc or doc[key] is None:
-        raise ConfigError(f"{context}: missing required key {key!r}")
-    return doc[key]
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _parse_seed(value, context: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ConfigError(f"{context}: seed must be an integer, got {value!r}")
-    if not 0 <= value < 2**64:
-        raise ConfigError(f"{context}: seed must be an unsigned 64-bit integer")
-    return value
+def _int_in(low: int, high: float = math.inf):
+    """Test for an integer in [low, high]."""
+    return lambda v: _is_int(v) and low <= v <= high
 
 
-def _parse_positive_int(value, key: str, context: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise ConfigError(f"{context}: {key} must be a positive integer, got {value!r}")
-    return value
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _parse_schedule(value, context: str) -> tuple[float, ...]:
-    if not isinstance(value, (list, tuple)) or len(value) == 0:
-        raise ConfigError(f"{context}: schedule must be a non-empty list of tolerances")
-    eps = []
-    for entry in value:
-        if not isinstance(entry, (int, float)) or isinstance(entry, bool):
-            raise ConfigError(f"{context}: schedule entries must be numbers, got {entry!r}")
-        eps.append(float(entry))
-    for a, b in zip(eps, eps[1:]):
-        if b >= a:
-            raise ConfigError(
-                f"{context}: schedule must be strictly decreasing, "
-                f"but entry {a} is followed by {b}"
-            )
-    if any(e < 0 for e in eps):
-        bad = [e for e in eps if e < 0]
-        raise ConfigError(f"{context}: schedule entries must be nonnegative, got {bad}")
-    return tuple(eps)
+def _is_positive(value) -> bool:
+    return _is_number(value) and value > 0
+
+
+class _Key(NamedTuple):
+    """One config key: what a valid value is and the test for it, the
+    algorithms that read the key, its default when absent or null, and the
+    conversion of a valid value."""
+
+    what: str
+    valid: Callable[[object], bool]
+    algorithms: tuple[str, ...] = ALGORITHMS
+    default: object = None
+    convert: Callable = lambda value: value
+
+
+# An algorithm ignores the keys it does not read. The tolerance checks live in
+# ToleranceSchedule and AutoSchedule, whose ValueError names the bad entries.
+_RUN_KEYS = {
+    "algorithm": _Key(f"one of {', '.join(ALGORITHMS)}", lambda v: v in ALGORITHMS, default=_REQUIRED),
+    "model": _Key("a model name", lambda v: True, default=_REQUIRED, convert=str),
+    "seed": _Key("an unsigned 64-bit integer", _int_in(0, 2**64 - 1), default=_REQUIRED),
+    "n_particles": _Key("a positive integer", _int_in(1), POPULATION_ALGORITHMS, _REQUIRED),
+    "schedule": _Key(
+        "a list of tolerances",
+        lambda v: isinstance(v, (list, tuple)) and all(map(_is_number, v)),
+        SEQUENTIAL_ALGORITHMS, _REQUIRED, lambda v: ToleranceSchedule(tuple(v)),
+    ),
+    "epsilon": _Key(
+        "a nonnegative number", lambda v: _is_number(v) and v >= 0,
+        ("rejection", "mcmc"), _REQUIRED, float,
+    ),
+    "kernel": _Key(
+        "a mapping whose only key 'mode' is 'diagonal' or 'full'",
+        lambda v: isinstance(v, dict) and v.get("mode", "diagonal") in ("diagonal", "full")
+        and set(v) <= {"mode"},
+        default="diagonal", convert=lambda v: v.get("mode", "diagonal"),
+    ),
+    "auto_schedule": _Key(
+        "a mapping of 'quantile' (a number) and 'generations' (an integer)",
+        lambda v: isinstance(v, dict) and set(v) == {"quantile", "generations"}
+        and _is_number(v["quantile"]) and _is_int(v["generations"]),
+    ),
+    "n_iter": _Key("a positive integer", _int_in(1), ("mcmc",), _REQUIRED),
+    "proposal_sd": _Key(
+        "positive (scalar or list)",
+        lambda v: _is_positive(v) or (isinstance(v, list) and v and all(map(_is_positive, v))),
+        ("mcmc",), _REQUIRED,
+        lambda v: [float(x) for x in v] if isinstance(v, list) else float(v),
+    ),
+    "burn_in": _Key("a nonnegative integer", _int_in(0), ("mcmc",), 0),
+    "budget": _Key("a positive integer", _int_in(1)),
+    "workers": _Key("a positive integer or 'auto'", lambda v: v == "auto" or _int_in(1)(v), default=1),
+    "out_dir": _Key("a path", lambda v: True),
+    "name": _Key("a string", lambda v: isinstance(v, str)),
+}
+
+_COMPARE_KEYS = {
+    "model": _RUN_KEYS["model"],
+    "seed": _RUN_KEYS["seed"],
+    "replicates": _Key("a positive integer", _int_in(1), default=_REQUIRED),
+    "algorithms": _Key("a non-empty list", lambda v: isinstance(v, list) and v != [], default=_REQUIRED),
+    "out_dir": _RUN_KEYS["out_dir"],
+    "workers": _RUN_KEYS["workers"],
+    "budget": _RUN_KEYS["budget"],
+}
+
+
+def _check_keys(doc, keys: dict, context: str):
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{context}: expected a mapping, got {type(doc).__name__}")
+    unknown = set(doc) - set(keys)
+    if unknown:
+        raise ConfigError(f"{context}: unknown keys {sorted(unknown)}")
+
+
+def _converted(convert, name: str, value, context: str):
+    """``convert(value)``, with its ValueError raised as a ConfigError naming the key."""
+    try:
+        return convert(value)
+    except ValueError as exc:
+        raise ConfigError(f"{context}: {name} {value!r}: {exc}") from None
+
+
+def _parse_keys(doc: dict, keys: dict, context: str, algorithm: str | None = None) -> dict:
+    """Checked, converted value of each key that ``algorithm`` reads (every key if None)."""
+    values = {}
+    for name, key in keys.items():
+        if algorithm is not None and algorithm not in key.algorithms:
+            continue
+        value = doc.get(name)
+        if value is None:
+            if key.default is _REQUIRED:
+                raise ConfigError(f"{context}: missing required key {name!r}")
+            values[name] = key.default
+        elif not key.valid(value):
+            raise ConfigError(f"{context}: {name} must be {key.what}, got {value!r}")
+        else:
+            values[name] = _converted(key.convert, name, value, context)
+    return values
 
 
 def parse_run_config(doc: dict, context: str = "run config") -> RunConfig:
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{context}: expected a mapping, got {type(doc).__name__}")
-    unknown = set(doc) - _RUN_KEYS
-    if unknown:
-        raise ConfigError(f"{context}: unknown keys {sorted(unknown)}")
-    algorithm = _require(doc, "algorithm", context)
-    if algorithm not in ALGORITHMS:
-        raise ConfigError(
-            f"{context}: unknown algorithm {algorithm!r}; choose from {', '.join(ALGORITHMS)}"
-        )
-    model = _require(doc, "model", context)
-    seed = _parse_seed(_require(doc, "seed", context), context)
-
-    n_particles = None
-    if algorithm in POPULATION_ALGORITHMS:
-        n_particles = _parse_positive_int(
-            _require(doc, "n_particles", context), "n_particles", context
-        )
-        if algorithm in SEQUENTIAL_ALGORITHMS and n_particles < 2:
-            raise ConfigError(f"{context}: {algorithm} needs n_particles >= 2")
-
-    schedule = None
-    epsilon = None
-    if algorithm in SEQUENTIAL_ALGORITHMS:
-        schedule = _parse_schedule(_require(doc, "schedule", context), context)
-    else:
-        raw_eps = _require(doc, "epsilon", context)
-        if not isinstance(raw_eps, (int, float)) or isinstance(raw_eps, bool) or raw_eps < 0:
-            raise ConfigError(f"{context}: epsilon must be a nonnegative number")
-        epsilon = float(raw_eps)
-
-    kernel_mode = "diagonal"
-    if "kernel" in doc and doc["kernel"] is not None:
-        kernel_doc = doc["kernel"]
-        if not isinstance(kernel_doc, dict) or set(kernel_doc) - {"mode"}:
-            raise ConfigError(f"{context}: kernel section only accepts a 'mode' key")
-        kernel_mode = kernel_doc.get("mode", "diagonal")
-        if kernel_mode not in ("diagonal", "full"):
-            raise ConfigError(f"{context}: kernel.mode must be 'diagonal' or 'full'")
-
-    auto_quantile = None
-    auto_generations = None
-    if "auto_schedule" in doc and doc["auto_schedule"] is not None:
+    _check_keys(doc, _RUN_KEYS, context)
+    algorithm = _parse_keys(doc, {"algorithm": _RUN_KEYS["algorithm"]}, context)["algorithm"]
+    values = _parse_keys(doc, _RUN_KEYS, context, algorithm)
+    if algorithm in SEQUENTIAL_ALGORITHMS and values["n_particles"] < 2:
+        raise ConfigError(f"{context}: {algorithm} needs n_particles >= 2")
+    auto = values.pop("auto_schedule")
+    if auto is not None:
         if algorithm not in SEQUENTIAL_ALGORITHMS:
             raise ConfigError(f"{context}: auto_schedule only applies to pmc/prc")
-        auto = doc["auto_schedule"]
-        if not isinstance(auto, dict) or set(auto) - {"quantile", "generations"}:
-            raise ConfigError(
-                f"{context}: auto_schedule accepts only 'quantile' and 'generations'"
-            )
-        auto_quantile = auto.get("quantile")
-        if not isinstance(auto_quantile, (int, float)) or not 0 < auto_quantile < 1:
-            raise ConfigError(f"{context}: auto_schedule.quantile must lie in (0, 1)")
-        auto_generations = _parse_positive_int(
-            _require(auto, "generations", f"{context}: auto_schedule"),
-            "generations",
-            context,
-        )
-        if len(schedule) != 1:
+        start = values["schedule"].epsilons
+        if len(start) != 1:
             raise ConfigError(
                 f"{context}: with auto_schedule, give schedule as the single "
                 "starting tolerance [eps_1]"
             )
-
-    n_iter = None
-    proposal_sd = None
-    burn_in = 0
-    if algorithm == "mcmc":
-        n_iter = _parse_positive_int(_require(doc, "n_iter", context), "n_iter", context)
-        proposal_sd = _require(doc, "proposal_sd", context)
-        if isinstance(proposal_sd, (int, float)) and not isinstance(proposal_sd, bool):
-            proposal_sd = float(proposal_sd)
-            ok = proposal_sd > 0
-        elif isinstance(proposal_sd, list) and proposal_sd:
-            ok = all(
-                isinstance(v, (int, float)) and not isinstance(v, bool) and v > 0
-                for v in proposal_sd
-            )
-            proposal_sd = [float(v) for v in proposal_sd]
-        else:
-            ok = False
-        if not ok:
-            raise ConfigError(f"{context}: proposal_sd must be positive (scalar or list)")
-        burn_in = doc.get("burn_in", 0)
-        if not isinstance(burn_in, int) or isinstance(burn_in, bool) or burn_in < 0:
-            raise ConfigError(f"{context}: burn_in must be a nonnegative integer")
-        if burn_in >= n_iter:
-            raise ConfigError(f"{context}: burn_in must be smaller than n_iter")
-
-    budget = doc.get("budget")
-    if budget is not None:
-        budget = _parse_positive_int(budget, "budget", context)
-
-    workers = doc.get("workers", 1)
-    if workers is None:
-        workers = 1
-    if workers != "auto" and (not isinstance(workers, int) or isinstance(workers, bool) or workers < 1):
-        raise ConfigError(f"{context}: workers must be a positive integer or 'auto'")
-
-    name = doc.get("name")
-    if name is not None and not isinstance(name, str):
-        raise ConfigError(f"{context}: name must be a string")
-
-    return RunConfig(
-        algorithm=algorithm,
-        model=str(model),
-        seed=seed,
-        n_particles=n_particles,
-        schedule=schedule,
-        epsilon=epsilon,
-        workers=workers,
-        budget=budget,
-        out_dir=doc.get("out_dir"),
-        kernel_mode=kernel_mode,
-        auto_schedule_quantile=auto_quantile,
-        auto_schedule_generations=auto_generations,
-        n_iter=n_iter,
-        burn_in=burn_in,
-        proposal_sd=proposal_sd,
-        name=name,
-        raw=dict(doc),
-    )
+        values["schedule"] = _converted(
+            lambda a: AutoSchedule(start[0], a["quantile"], a["generations"]),
+            "auto_schedule", auto, context,
+        )
+    if algorithm == "mcmc" and values["burn_in"] >= values["n_iter"]:
+        raise ConfigError(f"{context}: burn_in must be smaller than n_iter")
+    values["kernel_mode"] = values.pop("kernel")
+    return RunConfig(**values, raw=dict(doc))
 
 
 def parse_compare_config(doc: dict) -> CompareConfig:
     context = "compare config"
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{context}: expected a mapping, got {type(doc).__name__}")
-    unknown = set(doc) - _COMPARE_KEYS
-    if unknown:
-        raise ConfigError(f"{context}: unknown keys {sorted(unknown)}")
-    model = _require(doc, "model", context)
-    seed = _parse_seed(_require(doc, "seed", context), context)
-    replicates = _parse_positive_int(
-        _require(doc, "replicates", context), "replicates", context
-    )
-    entries = _require(doc, "algorithms", context)
-    if not isinstance(entries, list) or not entries:
-        raise ConfigError(f"{context}: algorithms must be a non-empty list")
+    _check_keys(doc, _COMPARE_KEYS, context)
+    top = _parse_keys(doc, _COMPARE_KEYS, context)
+    model = top["model"]
     runs = []
     labels = set()
-    for i, entry in enumerate(entries):
+    for i, entry in enumerate(top["algorithms"]):
         if not isinstance(entry, dict):
             raise ConfigError(f"{context}: algorithms[{i}] must be a mapping")
         entry = dict(entry)
-        entry.setdefault("model", model)
-        entry.setdefault("seed", seed)
-        if "workers" in doc:
-            entry.setdefault("workers", doc["workers"])
-        if doc.get("budget") is not None:
-            entry.setdefault("budget", doc["budget"])
+        for key in ("model", "seed", "workers", "budget"):
+            if doc.get(key) is not None:
+                entry.setdefault(key, doc[key])
         run = parse_run_config(entry, context=f"{context}: algorithms[{i}]")
         if run.model != model:
             raise ConfigError(
@@ -291,20 +240,8 @@ def parse_compare_config(doc: dict) -> CompareConfig:
     if len(values) > 1:
         detail = ", ".join(f"{k}={v}" for k, v in finals.items())
         raise ConfigError(f"{context}: final tolerances must match across algorithms ({detail})")
-    budget = doc.get("budget")
-    if budget is not None:
-        budget = _parse_positive_int(budget, "budget", context)
-    workers = doc.get("workers", 1)
-    return CompareConfig(
-        model=str(model),
-        seed=seed,
-        replicates=replicates,
-        algorithms=tuple(runs),
-        out_dir=doc.get("out_dir"),
-        workers=workers,
-        budget=budget,
-        raw=dict(doc),
-    )
+    top["algorithms"] = tuple(runs)
+    return CompareConfig(**top, raw=dict(doc))
 
 
 def load_yaml(path) -> dict:

@@ -9,17 +9,13 @@ import numpy as np
 from . import kernel
 from .samplers import Population
 
-WEIGHT_SUM_TOL = 1e-9
-
 QUANTILE_LEVELS = (0.025, 0.25, 0.5, 0.75, 0.975)
 
 
 def ess(weights: np.ndarray) -> float:
     """Effective sample size 1 / sum(w_i^2) of a normalized weight vector."""
     weights = np.asarray(weights, dtype=float)
-    total = float(weights.sum())
-    if abs(total - 1.0) > WEIGHT_SUM_TOL:
-        raise ValueError(f"weights must sum to 1, got {total}")
+    kernel.check_weight_sum(weights)
     return float(1.0 / np.sum(weights * weights))
 
 
@@ -34,9 +30,7 @@ def weighted_quantile(values: np.ndarray, weights: np.ndarray, q: float) -> floa
     weights = np.asarray(weights, dtype=float)
     if values.ndim != 1 or values.shape != weights.shape:
         raise ValueError("values and weights must be matching 1-d arrays")
-    total = float(weights.sum())
-    if abs(total - 1.0) > WEIGHT_SUM_TOL:
-        raise ValueError(f"weights must sum to 1, got {total}")
+    kernel.check_weight_sum(weights)
     order = np.argsort(values, kind="stable")
     cum = np.cumsum(weights[order])
     idx = min(int(np.searchsorted(cum, q, side="left")), values.size - 1)
@@ -105,9 +99,7 @@ def compare_to_oracle(
             raise ValueError("oracle comparison is defined for 1-d parameters")
         thetas = thetas[:, 0]
     weights = np.asarray(weights, dtype=float)
-    total = float(weights.sum())
-    if abs(total - 1.0) > WEIGHT_SUM_TOL:
-        raise ValueError(f"weights must sum to 1, got {total}")
+    kernel.check_weight_sum(weights)
     # moments computed directly so degenerate one-particle samples still compare
     mean = float(weights @ thetas)
     var = float(weights @ (thetas - mean) ** 2)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import os
+import pickle
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -72,19 +73,12 @@ class StreamFactory:
 
 
 def resolve_workers(requested) -> int:
-    """Worker count from config, with the ABC_WORKERS environment override."""
-    env = os.environ.get("ABC_WORKERS")
-    if env is not None and env != "":
-        requested = env
+    """Worker count: a positive integer, or 'auto' (or None) for one per CPU."""
     if requested is None or requested == "auto":
         return os.cpu_count() or 1
-    try:
-        workers = int(requested)
-    except (TypeError, ValueError):
-        raise ConfigError(f"workers must be an integer or 'auto', got {requested!r}")
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
-    return workers
+    if not isinstance(requested, int) or isinstance(requested, bool) or requested < 1:
+        raise ConfigError(f"workers must be a positive integer or 'auto', got {requested!r}")
+    return requested
 
 
 class WorkerPool:
@@ -94,8 +88,17 @@ class WorkerPool:
     order, so the pool size never changes what a run produces.
     """
 
-    def __init__(self, workers: int | str | None = 1):
+    def __init__(self, workers: int | str | None, model: ModelSpec):
         self.workers = resolve_workers(workers)
+        if self.workers > 1:
+            # worker processes receive the model by pickle: fail before any starts
+            try:
+                pickle.dumps(model)
+            except (pickle.PicklingError, AttributeError, TypeError) as exc:
+                raise ConfigError(
+                    f"model {model.name!r} cannot be sent to worker processes ({exc}); "
+                    "define its simulator at module level or run with workers: 1"
+                ) from None
         self._executor = (
             ProcessPoolExecutor(max_workers=self.workers) if self.workers > 1 else None
         )

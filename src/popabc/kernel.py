@@ -73,6 +73,14 @@ class KernelScale:
         return self.tau2.size if self.tau2 is not None else self.cov.shape[0]
 
 
+def check_weight_sum(weights: np.ndarray) -> float:
+    """Sum of a weight vector, which must be 1 to within ``WEIGHT_SUM_TOL``."""
+    total = float(weights.sum())
+    if abs(total - 1.0) > WEIGHT_SUM_TOL:
+        raise ValueError(f"weights must sum to 1, got {total}")
+    return total
+
+
 def _validated_weights(thetas: np.ndarray, weights: np.ndarray):
     thetas = np.asarray(thetas, dtype=float)
     if thetas.ndim == 1:
@@ -82,9 +90,7 @@ def _validated_weights(thetas: np.ndarray, weights: np.ndarray):
         raise ValueError("weights must be 1-d and match the number of particles")
     if np.any(weights < 0):
         raise ValueError("weights must be nonnegative")
-    total = float(weights.sum())
-    if abs(total - 1.0) > WEIGHT_SUM_TOL:
-        raise ValueError(f"weights must sum to 1, got {total}")
+    total = check_weight_sum(weights)
     if int(np.count_nonzero(weights)) < 2:
         raise DegeneratePopulation("fewer than 2 particles carry weight")
     return thetas, weights / total
@@ -121,22 +127,21 @@ def adapt_scale(thetas: np.ndarray, weights: np.ndarray, mode: str = "diagonal")
     """
     if mode == "diagonal":
         _, var = weighted_moments(thetas, weights)
-        if np.any(var < VARIANCE_FLOOR):
-            raise DegeneratePopulation(
-                f"weighted variance below {VARIANCE_FLOOR} in at least one dimension"
-            )
-        return KernelScale(tau2=2.0 * var)
-    if mode == "full":
+    elif mode == "full":
         _, cov = weighted_covariance(thetas, weights)
-        if np.any(np.diag(cov) < VARIANCE_FLOOR):
-            raise DegeneratePopulation(
-                f"weighted variance below {VARIANCE_FLOOR} in at least one dimension"
-            )
-        try:
-            return KernelScale(cov=2.0 * cov)
-        except ValueError as exc:
-            raise DegeneratePopulation("adapted covariance not positive definite") from exc
-    raise ValueError(f"unknown kernel mode {mode!r}")
+        var = np.diag(cov)
+    else:
+        raise ValueError(f"unknown kernel mode {mode!r}")
+    if np.any(var < VARIANCE_FLOOR):
+        raise DegeneratePopulation(
+            f"weighted variance below {VARIANCE_FLOOR} in at least one dimension"
+        )
+    if mode == "diagonal":
+        return KernelScale(tau2=2.0 * var)
+    try:
+        return KernelScale(cov=2.0 * cov)
+    except ValueError as exc:
+        raise DegeneratePopulation("adapted covariance not positive definite") from exc
 
 
 def perturb(
@@ -161,22 +166,6 @@ def perturb(
     else:
         moved = theta_star + noise @ scale._chol.T
     return moved[0] if size is None else moved
-
-
-def kernel_logdensity(theta, center, scale: KernelScale) -> float:
-    """Log-density of ``theta`` under a Gaussian centered at ``center``."""
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    center = np.atleast_1d(np.asarray(center, dtype=float))
-    d = scale.dim
-    if theta.shape != (d,) or center.shape != (d,):
-        raise ValueError("theta/center dimensions do not match the kernel scale")
-    diff = theta - center
-    if scale.mode == "diagonal":
-        q = float(np.sum(diff * diff / scale.tau2))
-    else:
-        z = np.linalg.solve(scale._chol, diff)
-        q = float(np.dot(z, z))
-    return scale._log_norm - 0.5 * q
 
 
 def log_density_matrix(thetas: np.ndarray, centers: np.ndarray, scale: KernelScale) -> np.ndarray:

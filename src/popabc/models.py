@@ -7,6 +7,7 @@ simulated and observed summaries, never raw data.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Union
 
@@ -48,10 +49,8 @@ class UniformBoxPrior:
     def dim(self) -> int:
         return self.lows.size
 
-    def sample(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
-        if size is None:
-            return rng.uniform(self.lows, self.highs)
-        return rng.uniform(self.lows, self.highs, size=(size, self.dim))
+    def sample(self, rng: np.random.Generator) -> np.ndarray:
+        return rng.uniform(self.lows, self.highs)
 
     def logpdf(self, theta) -> float:
         theta = _check_theta(theta, self.dim)
@@ -94,10 +93,8 @@ class IndependentNormalPrior:
     def dim(self) -> int:
         return self.means.size
 
-    def sample(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
-        if size is None:
-            return rng.normal(self.means, self.sds)
-        return rng.normal(self.means, self.sds, size=(size, self.dim))
+    def sample(self, rng: np.random.Generator) -> np.ndarray:
+        return rng.normal(self.means, self.sds)
 
     def logpdf(self, theta) -> float:
         theta = _check_theta(theta, self.dim)
@@ -132,18 +129,16 @@ def _check_thetas(thetas, dim: int) -> np.ndarray:
     return thetas
 
 
-def distance(a, b, metric: str = "euclidean", scale: np.ndarray | None = None) -> float:
-    """Distance between two summary vectors.
+def distance(a, b, scale: np.ndarray | None = None) -> float:
+    """Euclidean distance between two summary vectors.
 
-    Euclidean by default; ``scale`` divides each coordinate first (used to
-    put summaries of different magnitudes on a common footing).
+    ``scale`` divides each coordinate first (used to put summaries of
+    different magnitudes on a common footing).
     """
     a = np.atleast_1d(np.asarray(a, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
     if a.shape != b.shape:
         raise ValueError(f"summary length mismatch: {a.shape} vs {b.shape}")
-    if metric != "euclidean":
-        raise ValueError(f"unknown metric {metric!r}")
     diff = a - b
     if scale is not None:
         diff = diff / scale
@@ -164,7 +159,6 @@ class ModelSpec:
     simulator: Simulator
     observed: np.ndarray
     summary_scale: np.ndarray | None = None
-    metric: str = "euclidean"
 
     def __post_init__(self):
         observed = np.atleast_1d(np.asarray(self.observed, dtype=float))
@@ -183,10 +177,6 @@ class ModelSpec:
     def dim(self) -> int:
         return self.prior.dim
 
-    @property
-    def n_summaries(self) -> int:
-        return self.observed.size
-
     def simulate_distance(self, theta: np.ndarray, rng: np.random.Generator) -> float:
         """Run the simulator once and return the distance to the observed summaries."""
         summaries = np.atleast_1d(np.asarray(self.simulator(theta, rng), dtype=float))
@@ -195,4 +185,10 @@ class ModelSpec:
                 f"simulator returned {summaries.shape[0]} summaries, "
                 f"expected {self.observed.size}"
             )
-        return distance(summaries, self.observed, self.metric, self.summary_scale)
+        dist = distance(summaries, self.observed, self.summary_scale)
+        if not math.isfinite(dist):
+            raise ValueError(
+                f"simulator returned summaries {summaries.tolist()} at theta "
+                f"{np.asarray(theta).tolist()}, whose distance is {dist}"
+            )
+        return dist

@@ -25,20 +25,29 @@ def write_population_csv(path, t: int, thetas: np.ndarray, weights: np.ndarray, 
     thetas = np.asarray(thetas, dtype=float)
     if thetas.ndim == 1:
         thetas = thetas[:, None]
-    n, d = thetas.shape
+    d = thetas.shape[1]
     header = (
         "t,particle_id,"
         + ",".join(f"theta_{k}" for k in range(d))
         + ",weight,distance"
     )
-    lines = [header]
-    for i in range(n):
-        row = [str(int(t)), str(i)]
-        row.extend(format_float(v) for v in thetas[i])
-        row.append(format_float(weights[i]))
-        row.append(format_float(dists[i]))
-        lines.append(",".join(row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    # chains repeat states, so each distinct value is formatted once; zeros
+    # are not cached because 0.0 == -0.0 while their reprs differ
+    texts: dict[float, str] = {}
+
+    def text(x: float) -> str:
+        s = texts.get(x)
+        if s is None:
+            s = format_float(x)
+            if x:
+                texts[x] = s
+        return s
+
+    columns = np.column_stack((thetas, weights, dists)).T.tolist()
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for i, row in enumerate(zip(*(map(text, column) for column in columns))):
+            fh.write(f"{int(t)},{i},{','.join(row)}\n")
 
 
 def write_population(path, pop: Population):

@@ -25,18 +25,6 @@ from .errors import BudgetExhausted, DegeneratePopulation
 from .kernel import KernelScale
 from .models import ModelSpec, PriorSpec
 
-WEIGHT_SUM_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class Particle:
-    """One parameter draw with its importance weight and realized distance."""
-
-    theta: np.ndarray
-    weight: float
-    dist: float
-
-
 @dataclass(frozen=True)
 class Population:
     """A generation of weighted particles.
@@ -67,8 +55,7 @@ class Population:
             raise ValueError("thetas, weights and dists must have matching lengths")
         if not np.all(np.isfinite(thetas)) or not np.all(np.isfinite(weights)):
             raise ValueError("particles must be finite")
-        if abs(float(weights.sum()) - 1.0) > WEIGHT_SUM_TOL:
-            raise ValueError("weights must be normalized to sum 1")
+        kernel.check_weight_sum(weights)
         if np.any(dists > self.epsilon):
             raise ValueError("every particle distance must be within epsilon")
         if self.t < 1:
@@ -84,12 +71,6 @@ class Population:
     @property
     def dim(self) -> int:
         return self.thetas.shape[1]
-
-    def particles(self) -> list[Particle]:
-        return [
-            Particle(self.thetas[i].copy(), float(self.weights[i]), float(self.dists[i]))
-            for i in range(self.n)
-        ]
 
 
 @dataclass(frozen=True)
@@ -135,15 +116,6 @@ class AutoSchedule:
             raise ValueError("first_epsilon must be positive")
         if self.n_generations < 1:
             raise ValueError("n_generations must be >= 1")
-
-
-def resample_index(weights: np.ndarray, rng: np.random.Generator) -> int:
-    """Multinomial draw from a normalized weight vector via inverse CDF."""
-    weights = np.asarray(weights, dtype=float)
-    total = float(weights.sum())
-    if abs(total - 1.0) > WEIGHT_SUM_TOL:
-        raise ValueError(f"weights must sum to 1, got {total}")
-    return engine.pick_index(np.cumsum(weights), rng.random())
 
 
 def pmc_log_weights(
@@ -215,10 +187,15 @@ def abc_rejection(
     _validate_common(model, n_particles, seed)
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
-    with engine.WorkerPool(workers) as pool:
-        res = engine.initial_generation(
-            model, epsilon, n_particles, seed=seed, budget=budget, pool=pool
-        )
+    with engine.WorkerPool(workers, model) as pool:
+        return _rejection_generation(model, epsilon, n_particles, seed, budget, pool)
+
+
+def _rejection_generation(model, epsilon, n_particles, seed, budget, pool) -> Population:
+    """Generation 1: prior draws accepted within epsilon, with equal weights."""
+    res = engine.initial_generation(
+        model, epsilon, n_particles, seed=seed, budget=budget, pool=pool
+    )
     weights = np.full(n_particles, 1.0 / n_particles)
     return Population(
         t=1, epsilon=float(epsilon), thetas=res.thetas, weights=weights,
@@ -263,48 +240,36 @@ def _sequential_abc(
         raise ValueError("sequential samplers need n_particles >= 2")
     if not isinstance(schedule, (ToleranceSchedule, AutoSchedule)):
         schedule = ToleranceSchedule(tuple(schedule))
-    n_gen = schedule.n_generations
     remaining = None if budget is None else int(budget)
     populations: list[Population] = []
-    with engine.WorkerPool(workers) as pool:
-        eps1 = _epsilon_for(schedule, 1, None)
-        res = engine.initial_generation(
-            model, eps1, n_particles, seed=seed, budget=remaining, pool=pool
-        )
-        pop = Population(
-            t=1, epsilon=eps1, thetas=res.thetas,
-            weights=np.full(n_particles, 1.0 / n_particles),
-            dists=res.dists, scale=None, sims_used=res.sims_used,
-        )
-        populations.append(pop)
-        if on_generation is not None:
-            on_generation(pop)
-        if remaining is not None:
-            remaining -= res.sims_used
-        for t in range(2, n_gen + 1):
-            prev = populations[-1]
+    with engine.WorkerPool(workers, model) as pool:
+        for t in range(1, schedule.n_generations + 1):
+            prev = populations[-1] if populations else None
             eps_t = _epsilon_for(schedule, t, prev)
-            scale = kernel.adapt_scale(prev.thetas, prev.weights, mode=kernel_mode)
-            res = engine.propagate_generation(
-                model, eps_t, t, prev.thetas, prev.weights, scale, n_particles,
-                seed=seed, budget=remaining, pool=pool,
-            )
-            if weighting == "pmc":
-                log_w = pmc_log_weights(
-                    res.thetas, model.prior, prev.thetas, prev.weights, scale
-                )
+            if prev is None:
+                pop = _rejection_generation(model, eps_t, n_particles, seed, remaining, pool)
             else:
-                log_w = prc_log_weights(res.thetas, res.ancestors, model.prior, prev.thetas)
-            pop = Population(
-                t=t, epsilon=eps_t, thetas=res.thetas,
-                weights=_normalize_log_weights(log_w),
-                dists=res.dists, scale=scale, sims_used=res.sims_used,
-            )
+                scale = kernel.adapt_scale(prev.thetas, prev.weights, mode=kernel_mode)
+                res = engine.propagate_generation(
+                    model, eps_t, t, prev.thetas, prev.weights, scale, n_particles,
+                    seed=seed, budget=remaining, pool=pool,
+                )
+                if weighting == "pmc":
+                    log_w = pmc_log_weights(
+                        res.thetas, model.prior, prev.thetas, prev.weights, scale
+                    )
+                else:
+                    log_w = prc_log_weights(res.thetas, res.ancestors, model.prior, prev.thetas)
+                pop = Population(
+                    t=t, epsilon=eps_t, thetas=res.thetas,
+                    weights=_normalize_log_weights(log_w),
+                    dists=res.dists, scale=scale, sims_used=res.sims_used,
+                )
             populations.append(pop)
             if on_generation is not None:
                 on_generation(pop)
             if remaining is not None:
-                remaining -= res.sims_used
+                remaining -= pop.sims_used
     return populations
 
 
@@ -362,7 +327,6 @@ class MCMCResult:
     dists: np.ndarray  # (n_iter,), realized distance of the current state
     n_accepted: int
     sims_used: int
-    init_theta: np.ndarray
     init_sims: int
 
     @property
@@ -404,7 +368,7 @@ def abc_mcmc(
         raise ValueError("proposal_sd must be positive")
     init_sims = 0
     if init is None:
-        with engine.WorkerPool(1) as pool:
+        with engine.WorkerPool(1, model) as pool:
             found = engine.initial_generation(
                 model, epsilon, 1, seed=seed, budget=budget, pool=pool
             )
@@ -418,7 +382,6 @@ def abc_mcmc(
         init_sims = 1
         if cur_dist > epsilon:
             raise ValueError("init must satisfy the tolerance")
-    init_theta = theta.copy()
     limit = math.inf if budget is None else int(budget)
     rng = engine.attempt_stream(seed, engine.CHAIN_STREAM_T, 0)
     cur_lp = model.prior.logpdf(theta)
@@ -443,4 +406,4 @@ def abc_mcmc(
                 n_accepted += 1
         thetas[i] = theta
         dists[i] = cur_dist
-    return MCMCResult(thetas, dists, n_accepted, sims, init_theta, init_sims)
+    return MCMCResult(thetas, dists, n_accepted, sims, init_sims)

@@ -210,9 +210,8 @@ def test_criterion_08_coalescent_calibration():
           f"{[round(h, 3) for h in het_means]} monotone, {elapsed:.1f}s PASS")
 
 
-def test_criterion_09_worker_count_determinism(tmp_path, monkeypatch):
+def test_criterion_09_worker_count_determinism(tmp_path):
     """Bit-identical CSV output at 1, 2 and 8 workers for bundled models."""
-    monkeypatch.delenv("ABC_WORKERS", raising=False)
     docs = {
         "mixture-pmc": {
             "algorithm": "pmc",

@@ -5,7 +5,7 @@ import pytest
 import yaml
 
 from popabc import persist
-from popabc.cli import main
+from popabc.cli import execute_run, main
 from popabc.config import load_run_config, parse_compare_config, parse_run_config
 from popabc.errors import ConfigError
 
@@ -84,9 +84,8 @@ def test_parse_auto_schedule():
     cfg = parse_run_config(
         pmc_doc(schedule=[2.0], auto_schedule={"quantile": 0.5, "generations": 4})
     )
-    schedule = cfg.build_schedule()
-    assert schedule.quantile == 0.5
-    assert schedule.n_generations == 4
+    assert cfg.schedule.quantile == 0.5
+    assert cfg.schedule.n_generations == 4
     with pytest.raises(ConfigError):
         parse_run_config(
             pmc_doc(schedule=[2.0, 1.0], auto_schedule={"quantile": 0.5, "generations": 4})
@@ -98,7 +97,7 @@ def test_load_run_config_round_trip(tmp_path):
     cfg = load_run_config(path)
     assert cfg.workers == "auto"
     assert cfg.budget == 10_000
-    assert cfg.schedule == (3.0, 1.5)
+    assert cfg.schedule.epsilons == (3.0, 1.5)
 
 
 # ---------------------------------------------------------------- run
@@ -112,6 +111,7 @@ def test_run_pmc_happy_path(tmp_path, capsys):
     assert (out_dir / "gen_002.csv").exists()
     report = persist.read_report(out_dir / "report.json")
     assert report["status"] == "ok"
+    assert report["partial"] is None
     assert report["config"]["seed"] == 42
     assert len(report["generations"]) == 2
     assert report["totals"]["sims_used"] == sum(
@@ -155,6 +155,20 @@ def test_run_unreachable_tolerance_flags_partial(tmp_path):
     assert report["status"] == "budget-exhausted"
     assert report["error"]
     assert len(report["generations"]) == 1
+
+
+def test_budget_exhausted_report_counts_failed_generation():
+    cfg = parse_run_config(
+        pmc_doc(n_particles=500, schedule=[2.0, 0.5, 0.1], seed=1, budget=5000)
+    )
+    code, report, populations = execute_run(cfg)
+    assert code == 3
+    assert report["status"] == "budget-exhausted"
+    completed = sum(g["sims_used"] for g in report["generations"])
+    partial = report["partial"]
+    assert partial["requested"] == 500 and partial["accepted"] < 500
+    assert completed + partial["sims_used"] == 5000
+    assert report["totals"]["sims_used"] == 5000
 
 
 def test_run_unknown_model(tmp_path, capsys):
@@ -259,6 +273,17 @@ def test_compare_happy_path(tmp_path, capsys):
     )
     assert report["winner"] is not None
     assert "winner by metric" in capsys.readouterr().out
+
+
+def test_compare_budget_exhaustion_reports_partial_generation(tmp_path):
+    doc = dict(compare_doc(tmp_path / "cmp"), budget=100)
+    path = write_config(tmp_path, doc)
+    assert main(["compare", "--config", path]) == 3
+    report = persist.read_report(tmp_path / "cmp" / "comparison.json")
+    assert report["status"] == "budget-exhausted"
+    assert report["partial"]["requested"] == 150
+    assert report["partial"]["sims_used"] == 100
+    assert report["winner"] is None
 
 
 def test_compare_same_algorithm_twice_same_seed_identical(tmp_path):

@@ -3,6 +3,7 @@ import pytest
 
 from popabc import engine
 from popabc.errors import BudgetExhausted, ConfigError
+from popabc.kernel import KernelScale
 from popabc.models import ModelSpec, UniformBoxPrior
 from popabc.samplers import abc_pmc, abc_rejection
 
@@ -91,8 +92,7 @@ def test_rerun_is_identical():
 
 
 @pytest.mark.parametrize("workers", [2, 8])
-def test_worker_count_invariance(workers, monkeypatch):
-    monkeypatch.delenv("ABC_WORKERS", raising=False)
+def test_worker_count_invariance(workers):
     from popabc.benchmarks import get_model
 
     model = get_model("mixture-toy")
@@ -113,21 +113,16 @@ def test_no_out_of_support_theta_reaches_simulator():
     assert all(0.0 <= v <= 1.0 for v in seen)
 
 
-def test_resolve_workers_env_override(monkeypatch):
-    monkeypatch.setenv("ABC_WORKERS", "3")
-    assert engine.resolve_workers(1) == 3
-    monkeypatch.delenv("ABC_WORKERS")
+def test_resolve_workers_integer():
     assert engine.resolve_workers(2) == 2
 
 
-def test_resolve_workers_auto(monkeypatch):
-    monkeypatch.delenv("ABC_WORKERS", raising=False)
+def test_resolve_workers_auto():
     assert engine.resolve_workers("auto") >= 1
     assert engine.resolve_workers(None) >= 1
 
 
-def test_resolve_workers_rejects_garbage(monkeypatch):
-    monkeypatch.delenv("ABC_WORKERS", raising=False)
+def test_resolve_workers_rejects_garbage():
     with pytest.raises(ConfigError):
         engine.resolve_workers("many")
     with pytest.raises(ConfigError):
@@ -146,3 +141,49 @@ def test_budget_counts_partial_progress():
         abc_rejection(model, 0.01, 200, seed=2, budget=300)
     assert 0 <= exc.value.accepted < 200
     assert exc.value.sims_used == 300
+
+
+def test_nan_summaries_fail_on_first_call():
+    calls = []
+
+    def simulate(theta, rng):
+        calls.append(1)
+        return np.array([np.nan])
+
+    model = ModelSpec(
+        name="nan", prior=UniformBoxPrior([0.0], [1.0]), simulator=simulate, observed=[0.5]
+    )
+    with pytest.raises(ValueError, match=r"summaries \[nan\] at theta \[0\."):
+        abc_rejection(model, 1.0, 10, seed=1, budget=5000)
+    assert len(calls) == 1
+
+
+def test_unpicklable_simulator_with_workers_is_config_error():
+    model = ModelSpec(
+        name="lambda-sim",
+        prior=UniformBoxPrior([0.0], [1.0]),
+        simulator=lambda theta, rng: np.array([theta[0]]),
+        observed=[0.5],
+    )
+    with pytest.raises(ConfigError, match="lambda-sim"):
+        abc_rejection(model, 0.2, 10, seed=1, workers=2)
+
+
+def test_support_redraw_redraws_the_ancestor():
+    """A proposal outside the support redraws ancestor and move together.
+
+    Under a U(0, 1) prior with a narrow kernel, a move from the particle at
+    0.0 stays inside half the time and a move from 0.5 always does, so with
+    equal weights the accepted share of ancestor 0 is (1/4) / (3/4) = 1/3.
+    Redrawing only the move would keep the ancestor and give 1/2.
+    """
+    model = passthrough_model()
+    with engine.WorkerPool(1, model) as pool:
+        res = engine.propagate_generation(
+            model, 1.0, 2, np.array([[0.0], [0.5]]), np.array([0.5, 0.5]),
+            KernelScale(tau2=[1e-4]), 3000, seed=4, pool=pool,
+        )
+    share = float(np.mean(res.ancestors == 0))
+    # the share's standard error is sqrt((1/3)(2/3)/3000) = 0.0086
+    assert abs(share - 1 / 3) < 0.05, share
+    assert np.all(res.thetas[res.ancestors == 0] >= 0.0)

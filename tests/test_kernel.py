@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.stats import multivariate_normal
+from scipy.stats import multivariate_normal, norm
 
 from popabc.errors import DegeneratePopulation
 from popabc.kernel import (
     KernelScale,
     adapt_scale,
-    kernel_logdensity,
     log_density_matrix,
     perturb,
     weighted_covariance,
@@ -141,34 +140,30 @@ def test_perturb_diagonal_coordinates_uncorrelated():
 
 def test_kernel_logdensity_standard_normal_values():
     scale = KernelScale(tau2=[1.0])
-    assert kernel_logdensity([0.0], [0.0], scale) == pytest.approx(
-        math.log(0.3989422804014327), rel=1e-9
-    )
-    assert kernel_logdensity([1.0], [0.0], scale) == pytest.approx(
-        math.log(0.24197072451914337), rel=1e-9
-    )
+    got = log_density_matrix(np.array([[0.0], [1.0]]), np.array([[0.0]]), scale)[:, 0]
+    assert got[0] == pytest.approx(norm.logpdf(0.0), rel=1e-9)
+    assert got[1] == pytest.approx(norm.logpdf(1.0), rel=1e-9)
 
 
 def test_kernel_logdensity_symmetry():
     rng = np.random.default_rng(3)
     scale = KernelScale(tau2=[0.7, 2.3])
-    for _ in range(100):
-        a = rng.normal(size=2)
-        b = rng.normal(size=2)
-        assert kernel_logdensity(a, b, scale) == pytest.approx(
-            kernel_logdensity(b, a, scale), rel=1e-12
-        )
+    a = rng.normal(size=(100, 2))
+    b = rng.normal(size=(100, 2))
+    np.testing.assert_allclose(
+        log_density_matrix(a, b, scale), log_density_matrix(b, a, scale).T, rtol=1e-12
+    )
 
 
 def test_kernel_logdensity_dimension_mismatch():
     with pytest.raises(ValueError):
-        kernel_logdensity([0.0, 1.0], [0.0], KernelScale(tau2=[1.0]))
+        log_density_matrix(np.array([[0.0, 1.0]]), np.array([[0.0]]), KernelScale(tau2=[1.0]))
 
 
 def test_kernel_density_integrates_to_one():
     scale = KernelScale(tau2=[1.7])
     total, _ = quad(
-        lambda x: math.exp(kernel_logdensity([x], [0.3], scale)), -15.0, 15.0, limit=200
+        lambda x: math.exp(log_density_matrix([[x]], [[0.3]], scale)[0, 0]), -15.0, 15.0, limit=200
     )
     assert total == pytest.approx(1.0, abs=1e-6)
 
@@ -182,7 +177,7 @@ def test_perturb_density_consistency():
     for point in (-1.5, -0.75, 0.0, 0.75, 1.5):
         in_bin = np.mean(np.abs(draws - point) < width / 2)
         estimate = in_bin / width
-        expected = math.exp(kernel_logdensity([point], [0.0], scale))
+        expected = math.exp(log_density_matrix([[point]], [[0.0]], scale)[0, 0])
         assert abs(estimate - expected) / expected < 0.02
 
 
@@ -216,19 +211,19 @@ def test_full_covariance_perturb_and_density():
     # density cross-checked against an independent implementation
     reference = multivariate_normal(mean=[1.0, -2.0], cov=cov)
     for point in ([1.0, -2.0], [0.0, 0.0], [2.5, -1.0]):
-        assert kernel_logdensity(point, [1.0, -2.0], scale) == pytest.approx(
-            reference.logpdf(point), rel=1e-10
-        )
+        got = log_density_matrix(np.array([point]), np.array([[1.0, -2.0]]), scale)[0, 0]
+        assert got == pytest.approx(reference.logpdf(point), rel=1e-10)
 
 
 def test_log_density_matrix_matches_pointwise():
     rng = np.random.default_rng(23)
-    for scale in (KernelScale(tau2=[0.5, 2.0]), KernelScale(cov=np.array([[1.0, 0.3], [0.3, 0.8]]))):
+    full = np.array([[1.0, 0.3], [0.3, 0.8]])
+    for scale, cov in ((KernelScale(tau2=[0.5, 2.0]), np.diag([0.5, 2.0])), (KernelScale(cov=full), full)):
         xs = rng.normal(size=(7, 2))
         cs = rng.normal(size=(5, 2))
         matrix = log_density_matrix(xs, cs, scale)
         for i in range(7):
             for j in range(5):
                 assert matrix[i, j] == pytest.approx(
-                    kernel_logdensity(xs[i], cs[j], scale), rel=1e-12
+                    multivariate_normal(mean=cs[j], cov=cov).logpdf(xs[i]), rel=1e-12
                 )

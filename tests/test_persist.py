@@ -40,6 +40,15 @@ def test_write_read_round_trip(tmp_path):
     assert path.read_bytes() == second.read_bytes()
 
 
+def test_csv_keeps_signed_zeros_among_repeated_values(tmp_path):
+    # the writer formats each distinct value once; 0.0 == -0.0 must not share a text
+    path = tmp_path / "gen_001.csv"
+    thetas = np.array([[0.0], [-0.0], [0.0], [1.5], [1.5]])
+    persist.write_population_csv(path, 1, thetas, np.full(5, 0.2), np.zeros(5))
+    column = [line.split(",")[2] for line in path.read_text().splitlines()[1:]]
+    assert column == ["0.0", "-0.0", "0.0", "1.5", "1.5"]
+
+
 def test_csv_header_layout(tmp_path):
     path = tmp_path / "gen_001.csv"
     persist.write_population_csv(

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from popabc.engine import pick_index
 from popabc.errors import BudgetExhausted
-from popabc.kernel import KernelScale
+from popabc.kernel import KernelScale, check_weight_sum
 from popabc.models import IndependentNormalPrior, ModelSpec, UniformBoxPrior
 from popabc.samplers import (
     AutoSchedule,
@@ -16,7 +19,6 @@ from popabc.samplers import (
     abc_rejection,
     pmc_log_weights,
     prc_log_weights,
-    resample_index,
 )
 from popabc.benchmarks import get_model
 
@@ -61,31 +63,34 @@ def test_auto_schedule_validation():
 
 
 # ---------------------------------------------------------------- resampling
+# The engine resamples by inverse CDF over the cumulative weights of a
+# Population, whose weights check_weight_sum has checked.
 
 
 def test_resample_single_particle():
     rng = np.random.default_rng(0)
-    assert resample_index(np.array([1.0]), rng) == 0
+    assert pick_index(np.cumsum([1.0]), rng.random()) == 0
 
 
 def test_resample_excludes_zero_weight():
     rng = np.random.default_rng(1)
     for _ in range(200):
-        assert resample_index(np.array([0.0, 1.0]), rng) == 1
+        assert pick_index(np.cumsum([0.0, 1.0]), rng.random()) == 1
 
 
 def test_resample_frequencies():
     rng = np.random.default_rng(2)
-    weights = np.array([0.5, 0.5])
+    cum_weights = np.cumsum([0.5, 0.5])
     counts = np.zeros(2)
     for _ in range(100_000):
-        counts[resample_index(weights, rng)] += 1
+        counts[pick_index(cum_weights, rng.random())] += 1
     assert abs(counts[0] / 100_000 - 0.5) < 0.01
 
 
 def test_resample_rejects_unnormalized():
-    with pytest.raises(ValueError):
-        resample_index(np.array([0.5, 0.6]), np.random.default_rng(0))
+    with pytest.raises(ValueError, match="sum to 1"):
+        check_weight_sum(np.array([0.5, 0.6]))
+    assert check_weight_sum(np.array([0.25, 0.75])) == 1.0
 
 
 # ---------------------------------------------------------------- weights
@@ -135,6 +140,37 @@ def test_pmc_weights_match_brute_force():
             assert abs(got[i] - expected) / expected < 1e-10
 
 
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 25),
+    d=st.integers(1, 3),
+    prior_kind=st.sampled_from(["uniform", "normal"]),
+)
+@settings(max_examples=40, deadline=None)
+def test_pmc_weights_match_brute_force_full_kernel(seed, n, d, prior_kind):
+    rng = np.random.default_rng(seed)
+    prev = rng.normal(0, 2, size=(n, d))
+    cur = rng.normal(0, 2, size=(n, d))
+    weights = rng.dirichlet(np.ones(n))
+    root = rng.normal(size=(d, d))
+    cov = root @ root.T + 0.2 * np.eye(d)
+    if prior_kind == "uniform":
+        prior = UniformBoxPrior([-30.0] * d, [30.0] * d)
+    else:
+        prior = IndependentNormalPrior([0.0] * d, [3.0] * d)
+    got = np.exp(pmc_log_weights(cur, prior, prev, weights, KernelScale(cov=cov)))
+    # the kernel density from the explicit inverse and determinant, not a Cholesky solve
+    inv = np.linalg.inv(cov)
+    norm_const = math.sqrt((2 * math.pi) ** d * np.linalg.det(cov))
+    for i in range(n):
+        denom = sum(
+            weights[j] * math.exp(-0.5 * (cur[i] - prev[j]) @ inv @ (cur[i] - prev[j])) / norm_const
+            for j in range(n)
+        )
+        expected = math.exp(prior.logpdf(cur[i])) / denom
+        assert abs(got[i] - expected) / expected < 1e-10
+
+
 def test_prc_weight_normal_prior_ratio():
     # ancestor at 0, offspring at 1, N(0, 1) prior: phi(1)/phi(0) = exp(-1/2)
     prior = IndependentNormalPrior([0.0], [1.0])
@@ -164,13 +200,6 @@ def test_population_invariants_enforced():
             dists=np.array([0.1, 0.2]),
             scale=None, sims_used=2,
         )
-
-
-def test_population_particles_view():
-    pop = abc_rejection(constant_model(), 1.0, 5, seed=0)
-    parts = pop.particles()
-    assert len(parts) == 5
-    assert parts[0].weight == pytest.approx(0.2)
 
 
 # ---------------------------------------------------------------- rejection
