@@ -5,22 +5,23 @@ Subcommands:
     popabc compare --config compare.yaml
     popabc validate --config either.yaml
 
-Exit codes: 0 success, 2 configuration/validation error, 3 budget exhausted
-or degenerate population (partial outputs are kept and flagged in the
-report).
+A compare replicate is one run. Runs print one progress line per generation
+to stderr; compare's totals count every simulator call, a failed replicate's
+included. Exit codes: 0 success, 2 configuration/validation error, 3 budget
+exhausted or degenerate population (partial outputs are kept and flagged in
+the report).
 """
 from __future__ import annotations
 
 import argparse
 import sys
 import time
-from contextlib import contextmanager
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 
-from . import benchmarks, engine, persist
+from . import benchmarks, persist
 from .config import (
     CompareConfig,
     RunConfig,
@@ -104,22 +105,9 @@ def _dispatch(cfg: RunConfig, model, seed: int, on_generation):
     return None
 
 
-@contextmanager
-def _failure_path():
-    """Yield the report's status, error and partial-generation block, which a
-    budget or degenerate-population failure fills in instead of raising."""
-    outcome = {"status": "ok", "error": None, "partial": None}
-    try:
-        yield outcome
-    except BudgetExhausted as exc:
-        partial = {"requested": exc.requested, "accepted": exc.accepted, "sims_used": exc.sims_used}
-        outcome.update(status="budget-exhausted", error=str(exc), partial=partial)
-    except DegeneratePopulation as exc:
-        outcome.update(status="degenerate-population", error=str(exc))
-
-
 def execute_run(cfg: RunConfig, seed: int | None = None, persist_to: Path | None = None):
-    """Run one configured sampler; returns (exit_code, report, populations)."""
+    """Run one configured sampler; returns (exit_code, report, populations). A budget
+    or degenerate-population failure is recorded in the report instead of raised."""
     model = _get_model(cfg.model)
     seed = cfg.seed if seed is None else seed
     out_dir = persist_to
@@ -129,21 +117,31 @@ def execute_run(cfg: RunConfig, seed: int | None = None, persist_to: Path | None
         out_dir.mkdir(parents=True, exist_ok=True)
 
     populations: list[Population] = []
+    generations: list[dict] = []
     mcmc_extra = None
 
     def on_generation(pop: Population):
         populations.append(pop)
         if out_dir is not None:
             persist.write_population(out_dir / persist.population_filename(pop.t), pop)
+        block = asdict(generation_stats(pop))
+        block["scale"] = _scale_payload(pop.scale)
+        generations.append(block)
         print(
-            f"[{cfg.algorithm} t={pop.t}] eps={pop.epsilon:g} n={pop.n} "
-            f"sims={pop.sims_used} acc={pop.n / pop.sims_used:.3g}",
+            f"[{cfg.algorithm} t={block['t']}] eps={block['epsilon']:g} n={pop.n} "
+            f"sims={block['sims_used']} acc={block['acceptance_rate']:.3g}",
             file=sys.stderr,
         )
 
+    outcome = {"status": "ok", "error": None, "partial": None}
     started = time.perf_counter()
-    with _failure_path() as outcome:
+    try:
         mcmc_extra = _dispatch(cfg, model, seed, on_generation)
+    except BudgetExhausted as exc:
+        partial = {"requested": exc.requested, "accepted": exc.accepted, "sims_used": exc.sims_used}
+        outcome.update(status="budget-exhausted", error=str(exc), partial=partial)
+    except DegeneratePopulation as exc:
+        outcome.update(status="degenerate-population", error=str(exc))
     wall = time.perf_counter() - started
 
     oracle = benchmarks.get_oracle(cfg.model)
@@ -152,12 +150,7 @@ def execute_run(cfg: RunConfig, seed: int | None = None, persist_to: Path | None
         final = populations[-1]
         oracle_block = asdict(compare_to_oracle(final.thetas, final.weights, oracle))
 
-    generations = []
-    for pop in populations:
-        block = asdict(generation_stats(pop))
-        block["scale"] = _scale_payload(pop.scale)
-        generations.append(block)
-    sims_used = sum(p.sims_used for p in populations)
+    sims_used = sum(gen["sims_used"] for gen in generations)
     if outcome["partial"] is not None:
         sims_used += outcome["partial"]["sims_used"]
 
@@ -181,47 +174,48 @@ def execute_run(cfg: RunConfig, seed: int | None = None, persist_to: Path | None
 
 
 def execute_compare(cfg: CompareConfig):
-    """Replicated head-to-head comparison against the model's oracle."""
-    oracle = benchmarks.get_oracle(cfg.model)
-    if oracle is None:
+    """Replicated head-to-head comparison against the model's oracle. Each replicate
+    is one unpersisted ``execute_run``; the first that fails stops the comparison
+    and lends it its status, error and partial, and the totals count its calls."""
+    if benchmarks.get_oracle(cfg.model) is None:
         raise ConfigError(
             f"compare needs a model with an analytic reference posterior; "
             f"{cfg.model!r} has none"
         )
     started = time.perf_counter()
-    model = _get_model(cfg.model)
     algorithms = {}
-    with _failure_path() as outcome:
-        for run_cfg in cfg.algorithms:
-            rows = []
-            for r in range(cfg.replicates):
-                seed_r = (cfg.seed + r) % 2**64
-                populations: list[Population] = []
-                _dispatch(run_cfg, model, seed_r, populations.append)
-                final = populations[-1]
-                total_sims = int(sum(p.sims_used for p in populations))
-                metrics = compare_to_oracle(final.thetas, final.weights, oracle)
-                w_mean = float(final.weights @ final.thetas[:, 0])
-                w_var = float(final.weights @ (final.thetas[:, 0] - w_mean) ** 2)
-                rows.append(
-                    {
-                        "replicate": r,
-                        "seed": seed_r,
-                        "sims_used": total_sims,
-                        **asdict(metrics),
-                        "weighted_mean": w_mean,
-                        "weighted_var": w_var,
-                    }
-                )
-            algorithms[run_cfg.label] = {
-                "algorithm": run_cfg.algorithm,
-                "replicates": rows,
-                "means": {
-                    key: float(np.mean([row[key] for row in rows]))
-                    for key in ("mean_abs_err", "var_rel_err", "ks_statistic")
-                },
-                "total_sims": int(sum(row["sims_used"] for row in rows)),
-            }
+    sims_used = 0
+    for run_cfg in cfg.algorithms:
+        rows = []
+        for r in range(cfg.replicates):
+            seed_r = (cfg.seed + r) % 2**64
+            code, run, _ = execute_run(replace(run_cfg, out_dir=None), seed=seed_r)
+            sims_used += run["totals"]["sims_used"]
+            if code != 0:
+                break
+            final = run["generations"][-1]
+            rows.append(
+                {
+                    "replicate": r,
+                    "seed": seed_r,
+                    "sims_used": run["totals"]["sims_used"],
+                    **run["oracle_comparison"],
+                    "weighted_mean": final["weighted_mean"][0],
+                    "weighted_var": final["weighted_var"][0],
+                }
+            )
+        if code != 0:
+            break
+        algorithms[run_cfg.label] = {
+            "algorithm": run_cfg.algorithm,
+            "replicates": rows,
+            "means": {
+                key: float(np.mean([row[key] for row in rows]))
+                for key in ("mean_abs_err", "var_rel_err", "ks_statistic")
+            },
+            "total_sims": int(sum(row["sims_used"] for row in rows)),
+        }
+    outcome = {key: run[key] for key in ("status", "error", "partial")}  # of the last run
 
     winner = {}
     if outcome["status"] == "ok":
@@ -239,7 +233,7 @@ def execute_compare(cfg: CompareConfig):
         "algorithms": algorithms,
         "winner": winner or None,
         "totals": {
-            "sims_used": int(sum(a["total_sims"] for a in algorithms.values())),
+            "sims_used": int(sims_used),
             "wall_time_s": time.perf_counter() - started,
         },
     }

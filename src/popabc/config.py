@@ -63,8 +63,6 @@ class CompareConfig:
     replicates: int
     algorithms: tuple[RunConfig, ...]
     out_dir: str | None = None
-    workers: int | str = 1
-    budget: int | None = None
     raw: dict = field(default_factory=dict, compare=False)
 
 
@@ -97,7 +95,7 @@ class _Key(NamedTuple):
     convert: Callable = lambda value: value
 
 
-# An algorithm ignores the keys it does not read. The tolerance checks live in
+# An algorithm rejects the keys it does not read. The tolerance checks live in
 # ToleranceSchedule and AutoSchedule, whose ValueError names the bad entries.
 _RUN_KEYS = {
     "algorithm": _Key(f"one of {', '.join(ALGORITHMS)}", lambda v: v in ALGORITHMS, default=_REQUIRED),
@@ -117,12 +115,13 @@ _RUN_KEYS = {
         "a mapping whose only key 'mode' is 'diagonal' or 'full'",
         lambda v: isinstance(v, dict) and v.get("mode", "diagonal") in ("diagonal", "full")
         and set(v) <= {"mode"},
-        default="diagonal", convert=lambda v: v.get("mode", "diagonal"),
+        SEQUENTIAL_ALGORITHMS, "diagonal", lambda v: v.get("mode", "diagonal"),
     ),
     "auto_schedule": _Key(
         "a mapping of 'quantile' (a number) and 'generations' (an integer)",
         lambda v: isinstance(v, dict) and set(v) == {"quantile", "generations"}
         and _is_number(v["quantile"]) and _is_int(v["generations"]),
+        SEQUENTIAL_ALGORITHMS,
     ),
     "n_iter": _Key("a positive integer", _int_in(1), ("mcmc",), _REQUIRED),
     "proposal_sd": _Key(
@@ -166,12 +165,15 @@ def _converted(convert, name: str, value, context: str):
 
 
 def _parse_keys(doc: dict, keys: dict, context: str, algorithm: str | None = None) -> dict:
-    """Checked, converted value of each key that ``algorithm`` reads (every key if None)."""
+    """Checked, converted value of each key that ``algorithm`` reads (every key if None);
+    a key given for an algorithm that does not read it is an error."""
     values = {}
     for name, key in keys.items():
-        if algorithm is not None and algorithm not in key.algorithms:
-            continue
         value = doc.get(name)
+        if algorithm is not None and algorithm not in key.algorithms:
+            if value is not None:
+                raise ConfigError(f"{context}: {name} does not apply to {algorithm}")
+            continue
         if value is None:
             if key.default is _REQUIRED:
                 raise ConfigError(f"{context}: missing required key {name!r}")
@@ -189,10 +191,8 @@ def parse_run_config(doc: dict, context: str = "run config") -> RunConfig:
     values = _parse_keys(doc, _RUN_KEYS, context, algorithm)
     if algorithm in SEQUENTIAL_ALGORITHMS and values["n_particles"] < 2:
         raise ConfigError(f"{context}: {algorithm} needs n_particles >= 2")
-    auto = values.pop("auto_schedule")
+    auto = values.pop("auto_schedule", None)
     if auto is not None:
-        if algorithm not in SEQUENTIAL_ALGORITHMS:
-            raise ConfigError(f"{context}: auto_schedule only applies to pmc/prc")
         start = values["schedule"].epsilons
         if len(start) != 1:
             raise ConfigError(
@@ -205,7 +205,7 @@ def parse_run_config(doc: dict, context: str = "run config") -> RunConfig:
         )
     if algorithm == "mcmc" and values["burn_in"] >= values["n_iter"]:
         raise ConfigError(f"{context}: burn_in must be smaller than n_iter")
-    values["kernel_mode"] = values.pop("kernel")
+    values["kernel_mode"] = values.pop("kernel", "diagonal")
     return RunConfig(**values, raw=dict(doc))
 
 
@@ -241,6 +241,7 @@ def parse_compare_config(doc: dict) -> CompareConfig:
         detail = ", ".join(f"{k}={v}" for k, v in finals.items())
         raise ConfigError(f"{context}: final tolerances must match across algorithms ({detail})")
     top["algorithms"] = tuple(runs)
+    del top["workers"], top["budget"]  # copied into every entry above
     return CompareConfig(**top, raw=dict(doc))
 
 

@@ -10,6 +10,7 @@ from . import kernel
 from .samplers import Population
 
 QUANTILE_LEVELS = (0.025, 0.25, 0.5, 0.75, 0.975)
+ORACLE_GRID_SIZE = 512  # points of the KS grid in compare_to_oracle
 
 
 def ess(weights: np.ndarray) -> float:
@@ -85,7 +86,6 @@ def compare_to_oracle(
     thetas: np.ndarray,
     weights: np.ndarray,
     oracle: PosteriorOracle,
-    grid_size: int = 512,
 ) -> OracleComparison:
     """Weighted-sample error against an analytic posterior (1-d models).
 
@@ -105,7 +105,7 @@ def compare_to_oracle(
     var = float(weights @ (thetas - mean) ** 2)
     mean_abs_err = abs(mean - oracle.mean)
     var_rel_err = abs(var - oracle.var) / oracle.var
-    grid = np.linspace(oracle.ppf(0.001), oracle.ppf(0.999), grid_size)
+    grid = np.linspace(oracle.ppf(0.001), oracle.ppf(0.999), ORACLE_GRID_SIZE)
     empirical = weighted_ecdf(thetas, weights)(grid)
     ks = float(np.max(np.abs(empirical - np.asarray(oracle.cdf(grid), dtype=float))))
     return OracleComparison(mean_abs_err, var_rel_err, ks)

@@ -25,6 +25,8 @@ from .errors import BudgetExhausted, DegeneratePopulation
 from .kernel import KernelScale
 from .models import ModelSpec, PriorSpec
 
+WEIGHT_BLOCK = 512  # new particles per block of the O(N^2) weight pass
+
 @dataclass(frozen=True)
 class Population:
     """A generation of weighted particles.
@@ -124,7 +126,6 @@ def pmc_log_weights(
     prev_thetas: np.ndarray,
     prev_weights: np.ndarray,
     scale: KernelScale,
-    block: int = 512,
 ) -> np.ndarray:
     """Log unnormalized PMC weights: log prior - log mixture proposal density.
 
@@ -137,8 +138,8 @@ def pmc_log_weights(
     with np.errstate(divide="ignore"):
         log_wprev = np.log(np.asarray(prev_weights, dtype=float))
     log_denom = np.empty(n)
-    for lo in range(0, n, block):
-        hi = min(lo + block, n)
+    for lo in range(0, n, WEIGHT_BLOCK):
+        hi = min(lo + WEIGHT_BLOCK, n)
         lk = kernel.log_density_matrix(thetas[lo:hi], prev_thetas, scale)
         log_denom[lo:hi] = logsumexp(lk + log_wprev[None, :], axis=1)
     return log_prior - log_denom

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 import yaml
 
-from popabc import persist
-from popabc.cli import execute_run, main
+from popabc import benchmarks, persist
+from popabc.benchmarks import get_model, mixture
+from popabc.cli import execute_compare, execute_run, main
 from popabc.config import load_run_config, parse_compare_config, parse_run_config
 from popabc.errors import ConfigError
+from popabc.models import ModelSpec
 
 
 def write_config(tmp_path, doc, name="config.yaml"):
@@ -90,6 +92,23 @@ def test_parse_auto_schedule():
         parse_run_config(
             pmc_doc(schedule=[2.0, 1.0], auto_schedule={"quantile": 0.5, "generations": 4})
         )
+
+
+@pytest.mark.parametrize(
+    "doc, key",
+    [
+        (pmc_doc(epsilon=0.01), "epsilon"),
+        ({"algorithm": "rejection", "model": "mixture-toy", "seed": 1, "n_particles": 10,
+          "epsilon": 0.5, "kernel": {"mode": "full"}}, "kernel"),
+        ({"algorithm": "mcmc", "model": "mixture-toy", "seed": 1, "epsilon": 0.5, "n_iter": 100,
+          "proposal_sd": 1.0, "auto_schedule": {"quantile": 0.5, "generations": 4}},
+         "auto_schedule"),
+    ],
+    ids=["pmc-epsilon", "rejection-kernel", "mcmc-auto_schedule"],
+)
+def test_parse_rejects_key_the_algorithm_does_not_read(doc, key):
+    with pytest.raises(ConfigError, match=f"{key} does not apply to {doc['algorithm']}"):
+        parse_run_config(doc)
 
 
 def test_load_run_config_round_trip(tmp_path):
@@ -272,7 +291,9 @@ def test_compare_happy_path(tmp_path, capsys):
         b["total_sims"] for b in report["algorithms"].values()
     )
     assert report["winner"] is not None
-    assert "winner by metric" in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert "winner by metric" in captured.out
+    assert "[pmc t=2]" in captured.err and "[mcmc t=1]" in captured.err
 
 
 def test_compare_budget_exhaustion_reports_partial_generation(tmp_path):
@@ -284,6 +305,69 @@ def test_compare_budget_exhaustion_reports_partial_generation(tmp_path):
     assert report["partial"]["requested"] == 150
     assert report["partial"]["sims_used"] == 100
     assert report["winner"] is None
+
+
+def counting_mixture(monkeypatch):
+    """Make ``mixture-toy`` count its simulator calls; returns the call list."""
+    calls = []
+    base = get_model("mixture-toy")
+
+    def simulator(theta, rng):
+        calls.append(1)
+        return mixture.simulate(theta, rng)
+
+    counted = ModelSpec(name=base.name, prior=base.prior, simulator=simulator,
+                        observed=base.observed)
+    monkeypatch.setitem(benchmarks.MODEL_BUILDERS, "mixture-toy", lambda: counted)
+    return calls
+
+
+def test_compare_budget_exhaustion_counts_every_simulator_call(monkeypatch):
+    # rejection at eps=0.1 spends the whole budget of its first replicate
+    calls = counting_mixture(monkeypatch)
+    cfg = parse_compare_config(
+        {
+            "model": "mixture-toy",
+            "seed": 3,
+            "replicates": 2,
+            "budget": 2000,
+            "algorithms": [
+                {"algorithm": "rejection", "n_particles": 150, "epsilon": 0.1},
+                {"algorithm": "pmc", "n_particles": 150, "schedule": [2.0, 0.1]},
+            ],
+        }
+    )
+    code, report = execute_compare(cfg)
+    assert code == 3
+    assert report["status"] == "budget-exhausted"
+    assert report["algorithms"] == {} and report["winner"] is None
+    assert report["partial"]["sims_used"] == 2000
+    assert report["totals"]["sims_used"] == len(calls) == 2000
+
+
+def test_compare_rows_match_their_run_reports():
+    cfg = parse_compare_config(
+        {
+            "model": "mixture-toy",
+            "seed": 77,
+            "replicates": 2,
+            "algorithms": [
+                {"algorithm": "pmc", "n_particles": 100, "schedule": [2.0, 0.8]},
+                {"algorithm": "rejection", "n_particles": 100, "epsilon": 0.8},
+            ],
+        }
+    )
+    code, report = execute_compare(cfg)
+    assert code == 0
+    for run_cfg in cfg.algorithms:
+        for row in report["algorithms"][run_cfg.label]["replicates"]:
+            _, run, _ = execute_run(run_cfg, seed=row["seed"])
+            final = run["generations"][-1]
+            assert row["sims_used"] == run["totals"]["sims_used"]
+            assert row["weighted_mean"] == final["weighted_mean"][0]
+            assert row["weighted_var"] == final["weighted_var"][0]
+            for key, value in run["oracle_comparison"].items():
+                assert row[key] == value
 
 
 def test_compare_same_algorithm_twice_same_seed_identical(tmp_path):
