@@ -132,7 +132,8 @@ _RUN_KEYS = {
     ),
     "burn_in": _Key("a nonnegative integer", _int_in(0), ("mcmc",), 0),
     "budget": _Key("a positive integer", _int_in(1)),
-    "workers": _Key("a positive integer or 'auto'", lambda v: v == "auto" or _int_in(1)(v), default=1),
+    "workers": _Key("a positive integer or 'auto'", lambda v: v == "auto" or _int_in(1)(v),
+                    POPULATION_ALGORITHMS, 1),
     "out_dir": _Key("a path", lambda v: True),
     "name": _Key("a string", lambda v: isinstance(v, str)),
 }
@@ -166,12 +167,14 @@ def _converted(convert, name: str, value, context: str):
 
 def _parse_keys(doc: dict, keys: dict, context: str, algorithm: str | None = None) -> dict:
     """Checked, converted value of each key that ``algorithm`` reads (every key if None);
-    a key given for an algorithm that does not read it is an error."""
+    a key given for an algorithm that does not read it is an error unless it is the
+    key's default."""
     values = {}
     for name, key in keys.items():
         value = doc.get(name)
         if algorithm is not None and algorithm not in key.algorithms:
-            if value is not None:
+            # it may restate the default, which is what the algorithm does (mcmc: one worker)
+            if value is not None and value != key.default:
                 raise ConfigError(f"{context}: {name} does not apply to {algorithm}")
             continue
         if value is None:
@@ -221,7 +224,7 @@ def parse_compare_config(doc: dict) -> CompareConfig:
             raise ConfigError(f"{context}: algorithms[{i}] must be a mapping")
         entry = dict(entry)
         for key in ("model", "seed", "workers", "budget"):
-            if doc.get(key) is not None:
+            if doc.get(key) is not None and entry.get("algorithm") in _RUN_KEYS[key].algorithms:
                 entry.setdefault(key, doc[key])
         run = parse_run_config(entry, context=f"{context}: algorithms[{i}]")
         if run.model != model:
@@ -241,7 +244,7 @@ def parse_compare_config(doc: dict) -> CompareConfig:
         detail = ", ".join(f"{k}={v}" for k, v in finals.items())
         raise ConfigError(f"{context}: final tolerances must match across algorithms ({detail})")
     top["algorithms"] = tuple(runs)
-    del top["workers"], top["budget"]  # copied into every entry above
+    del top["workers"], top["budget"]  # copied into the entries that read them above
     return CompareConfig(**top, raw=dict(doc))
 
 

@@ -9,10 +9,12 @@ bit-identical for a fixed seed whether it executes on 1 worker or 8.
 
 Budget accounting is exact: a wave is either fully simulated or not started,
 and ``sims_used`` counts every simulator invocation including the tail of
-the final wave that overshoots the requested number of acceptances.
+the final wave that overshoots the requested number of acceptances. A
+generation that accepts nothing in ``STALL_WAVES`` waves in a row fails.
 """
 from __future__ import annotations
 
+import bisect
 import math
 import os
 import pickle
@@ -29,6 +31,10 @@ from .models import ModelSpec
 # chain namespace: generation indices start at 1, so t=0 is reserved for
 # sequential (non-generation) consumers such as the MCMC chain
 CHAIN_STREAM_T = 0
+
+# waves in a row without an acceptance before a generation gives up: such waves
+# grow to the cap of max(4n, 20000) attempts, so that is over 1e6 attempts at any n
+STALL_WAVES = 60
 
 
 def attempt_stream(seed: int, t: int, counter: int) -> Generator:
@@ -48,7 +54,8 @@ class StreamFactory:
     ``stream(t, counter)`` yields draws bit-identical to
     ``attempt_stream(seed, t, counter)`` but resets one Philox state in
     place instead of constructing fresh objects, which matters in the
-    per-attempt hot loop.
+    per-attempt hot loop. The state is held as Python lists, which the
+    state setter reads faster than arrays.
     """
 
     def __init__(self, seed: int):
@@ -56,19 +63,16 @@ class StreamFactory:
             raise ValueError("seed must be an unsigned 64-bit integer")
         self._bg = Philox(key=int(seed))
         self._gen = Generator(self._bg)
-        self._state = self._bg.state
-        self._counter = self._state["state"]["counter"]
+        self._counter = [0, 0, 0, 0]
+        key = self._bg.state["state"]["key"].tolist()
+        # buffer_pos 4 marks the buffer as used up, so the first draw reads the counter
+        self._state = {"bit_generator": "Philox", "state": {"counter": self._counter, "key": key},
+                       "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
     def stream(self, t: int, counter: int) -> Generator:
-        self._counter[0] = 0
-        self._counter[1] = 0
         self._counter[2] = t
         self._counter[3] = counter
-        st = self._state
-        st["buffer_pos"] = 4
-        st["has_uint32"] = 0
-        st["uinteger"] = 0
-        self._bg.state = st
+        self._bg.state = self._state
         return self._gen
 
 
@@ -131,10 +135,9 @@ class PropagationResult:
     sims_used: int
 
 
-def pick_index(cum_weights: np.ndarray, u: float) -> int:
+def pick_index(cum_weights, u: float) -> int:
     """Inverse-CDF lookup: smallest j with cum_weights[j] > u."""
-    j = int(np.searchsorted(cum_weights, u, side="right"))
-    return min(j, cum_weights.size - 1)
+    return min(bisect.bisect_right(cum_weights, u), len(cum_weights) - 1)
 
 
 def _run_attempt_chunk(args):
@@ -151,39 +154,39 @@ def _run_attempt_chunk(args):
     thetas = np.empty((m, d))
     dists = np.empty(m)
     ancestors = np.full(m, -1, dtype=np.int64)
-    accept = np.zeros(m, dtype=bool)
     prior = model.prior
     factory = StreamFactory(seed)
+    if prev_thetas is not None:
+        # Python rows and floats: indexing them costs less than indexing arrays
+        rows, cumw = list(prev_thetas), prev_cumw.tolist()
     for i in range(m):
         rng = factory.stream(t, lo + i)
         if prev_thetas is None:
             theta = prior.sample(rng)
         else:
             while True:
-                j = pick_index(prev_cumw, rng.random())
-                theta = kernel.perturb(prev_thetas[j], scale, rng)
+                j = pick_index(cumw, rng.random())
+                theta = kernel.perturb(rows[j], scale, rng)
                 if prior.in_support(theta):
                     break
             ancestors[i] = j
-        dist = model.simulate_distance(theta, rng)
+        dists[i] = model.simulate_distance(theta, rng)
         thetas[i] = theta
-        dists[i] = dist
-        accept[i] = dist <= epsilon
-    return lo, thetas, dists, ancestors, accept
+    return lo, thetas, dists, ancestors, dists <= epsilon
 
 
 def _wave_size(n: int, accepted: int, attempted: int) -> int:
     """Next wave size from deterministic progress counts only.
 
     The first wave equals n, so an accept-everything tolerance costs exactly
-    n simulations; later waves target the remaining need at the observed
-    acceptance rate with a little headroom.
+    n simulations; later waves plan the remaining need at the observed
+    acceptance rate, at least 64 and at most ``max(4n, 20000)`` attempts.
     """
     if attempted == 0:
         return n
     need = n - accepted
     rate = max(accepted, 1) / attempted
-    planned = int(math.ceil(1.15 * need / rate))
+    planned = int(math.ceil(need / rate))
     return min(max(planned, 64), max(4 * n, 20_000))
 
 
@@ -210,18 +213,25 @@ def _collect(
     kept_thetas, kept_dists, kept_anc = [], [], []
     accepted = 0
     attempted = 0
-    counter = 0
+    dead_waves = 0  # waves in a row that accepted nothing
     while accepted < n:
         remaining = limit - attempted
         if remaining <= 0:
             raise BudgetExhausted(n, accepted, attempted)
+        if dead_waves == STALL_WAVES:
+            raise BudgetExhausted(
+                n, accepted, attempted,
+                f"no attempt was accepted in {STALL_WAVES} waves in a row: {accepted}/{n} "
+                f"particles accepted after {attempted} simulator calls",
+            )
         wave = _wave_size(n, accepted, attempted)
         if remaining < wave:
             wave = int(remaining)
         chunk_args = [
             (model, epsilon, seed, t, lo, hi, prev_thetas, prev_cumw, scale)
-            for lo, hi in _split_chunks(counter, wave, pool.workers)
+            for lo, hi in _split_chunks(attempted, wave, pool.workers)
         ]
+        before = accepted
         for _, thetas, dists, ancestors, accept in pool.map_chunks(
             _run_attempt_chunk, chunk_args
         ):
@@ -231,7 +241,7 @@ def _collect(
                 kept_anc.append(ancestors[accept])
                 accepted += int(np.count_nonzero(accept))
         attempted += wave
-        counter += wave
+        dead_waves = dead_waves + 1 if accepted == before else 0
     thetas = np.concatenate(kept_thetas)[:n]
     dists = np.concatenate(kept_dists)[:n]
     ancestors = np.concatenate(kept_anc)[:n] if prev_thetas is not None else None

@@ -2,16 +2,16 @@
 
 
 class BudgetExhausted(RuntimeError):
-    """Raised when the simulation budget runs out before enough acceptances.
+    """Raised when a generation stops short of n acceptances: out of budget, or stalled.
 
     Carries the partial progress of the generation that failed: how many
     particles were requested, how many had been accepted, and how many
     simulator calls that generation consumed.
     """
 
-    def __init__(self, requested: int, accepted: int, sims_used: int):
+    def __init__(self, requested: int, accepted: int, sims_used: int, message: str | None = None):
         super().__init__(
-            f"simulation budget exhausted: {accepted}/{requested} particles "
+            message or f"simulation budget exhausted: {accepted}/{requested} particles "
             f"accepted after {sims_used} simulator calls"
         )
         self.requested = requested

@@ -155,17 +155,14 @@ def perturb(
     ``size=None`` returns one vector; an integer returns a ``(size, d)`` block
     drawn from the same stream.
     """
-    theta_star = np.atleast_1d(np.asarray(theta_star, dtype=float))
+    theta_star = np.array(theta_star, dtype=float, ndmin=1)
     d = scale.dim
     if theta_star.shape != (d,):
         raise ValueError(f"theta_star has shape {theta_star.shape}, expected ({d},)")
-    n = 1 if size is None else size
-    noise = rng.standard_normal((n, d))
+    noise = rng.standard_normal(d if size is None else (size, d))
     if scale.mode == "diagonal":
-        moved = theta_star + noise * scale._sigma
-    else:
-        moved = theta_star + noise @ scale._chol.T
-    return moved[0] if size is None else moved
+        return theta_star + noise * scale._sigma
+    return theta_star + noise @ scale._chol.T
 
 
 def log_density_matrix(thetas: np.ndarray, centers: np.ndarray, scale: KernelScale) -> np.ndarray:

@@ -8,6 +8,7 @@ simulated and observed summaries, never raw data.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Union
 
@@ -31,6 +32,7 @@ class UniformBoxPrior:
     lows: np.ndarray
     highs: np.ndarray
     _log_volume: float = field(init=False, repr=False, compare=False)
+    _bounds: tuple = field(init=False, repr=False, compare=False)  # lows, highs as floats
 
     def __post_init__(self):
         lows = np.atleast_1d(np.asarray(self.lows, dtype=float))
@@ -44,13 +46,15 @@ class UniformBoxPrior:
         object.__setattr__(self, "lows", lows)
         object.__setattr__(self, "highs", highs)
         object.__setattr__(self, "_log_volume", float(np.sum(np.log(highs - lows))))
+        object.__setattr__(self, "_bounds", (lows.tolist(), highs.tolist()))
 
     @property
     def dim(self) -> int:
         return self.lows.size
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
-        return rng.uniform(self.lows, self.highs)
+        # one scalar draw per dimension: the same draws as rng.uniform(lows, highs)
+        return np.array([rng.uniform(low, high) for low, high in zip(*self._bounds)])
 
     def logpdf(self, theta) -> float:
         theta = _check_theta(theta, self.dim)
@@ -64,8 +68,9 @@ class UniformBoxPrior:
         return np.where(inside, -self._log_volume, -np.inf)
 
     def in_support(self, theta) -> bool:
-        theta = np.asarray(theta, dtype=float)
-        return bool(np.all(theta >= self.lows) and np.all(theta <= self.highs))
+        values = _check_theta(theta, self.dim).tolist()
+        lows, highs = self._bounds
+        return all(map(operator.le, lows, values)) and all(map(operator.le, values, highs))
 
 
 @dataclass(frozen=True)
@@ -114,7 +119,7 @@ PriorSpec = Union[UniformBoxPrior, IndependentNormalPrior]
 
 
 def _check_theta(theta, dim: int) -> np.ndarray:
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    theta = np.array(theta, dtype=float, ndmin=1)
     if theta.shape != (dim,):
         raise ValueError(f"parameter vector has shape {theta.shape}, expected ({dim},)")
     return theta
@@ -139,10 +144,14 @@ def distance(a, b, scale: np.ndarray | None = None) -> float:
     b = np.atleast_1d(np.asarray(b, dtype=float))
     if a.shape != b.shape:
         raise ValueError(f"summary length mismatch: {a.shape} vs {b.shape}")
-    diff = a - b
+    return _norm(a - b, scale)
+
+
+def _norm(diff: np.ndarray, scale: np.ndarray | None) -> float:
+    """Euclidean length of ``diff``, each coordinate divided by ``scale`` first."""
     if scale is not None:
         diff = diff / scale
-    return float(np.sqrt(np.dot(diff, diff)))
+    return math.sqrt(np.dot(diff, diff))
 
 
 @dataclass(frozen=True)
@@ -179,13 +188,13 @@ class ModelSpec:
 
     def simulate_distance(self, theta: np.ndarray, rng: np.random.Generator) -> float:
         """Run the simulator once and return the distance to the observed summaries."""
-        summaries = np.atleast_1d(np.asarray(self.simulator(theta, rng), dtype=float))
+        summaries = np.array(self.simulator(theta, rng), dtype=float, ndmin=1)
         if summaries.shape != self.observed.shape:
             raise ValueError(
                 f"simulator returned {summaries.shape[0]} summaries, "
                 f"expected {self.observed.size}"
             )
-        dist = distance(summaries, self.observed, self.summary_scale)
+        dist = _norm(summaries - self.observed, self.summary_scale)
         if not math.isfinite(dist):
             raise ValueError(
                 f"simulator returned summaries {summaries.tolist()} at theta "

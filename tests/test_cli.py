@@ -103,12 +103,20 @@ def test_parse_auto_schedule():
         ({"algorithm": "mcmc", "model": "mixture-toy", "seed": 1, "epsilon": 0.5, "n_iter": 100,
           "proposal_sd": 1.0, "auto_schedule": {"quantile": 0.5, "generations": 4}},
          "auto_schedule"),
+        ({"algorithm": "mcmc", "model": "mixture-toy", "seed": 1, "epsilon": 0.5, "n_iter": 100,
+          "proposal_sd": 1.0, "workers": 4}, "workers"),
     ],
-    ids=["pmc-epsilon", "rejection-kernel", "mcmc-auto_schedule"],
+    ids=["pmc-epsilon", "rejection-kernel", "mcmc-auto_schedule", "mcmc-workers"],
 )
 def test_parse_rejects_key_the_algorithm_does_not_read(doc, key):
     with pytest.raises(ConfigError, match=f"{key} does not apply to {doc['algorithm']}"):
         parse_run_config(doc)
+
+
+def test_parse_accepts_the_default_of_a_key_the_algorithm_does_not_read():
+    doc = {"algorithm": "mcmc", "model": "mixture-toy", "seed": 1, "epsilon": 0.5,
+           "n_iter": 100, "proposal_sd": 1.0}
+    assert parse_run_config(dict(doc, workers=1)) == parse_run_config(doc)
 
 
 def test_load_run_config_round_trip(tmp_path):
@@ -432,6 +440,25 @@ def test_parse_compare_inherits_seed_and_model():
     )
     assert cfg.algorithms[0].model == "mixture-toy"
     assert cfg.algorithms[0].seed == 5
+
+
+def test_parse_compare_copies_workers_only_where_read():
+    cfg = parse_compare_config(
+        {
+            "model": "mixture-toy",
+            "seed": 5,
+            "replicates": 2,
+            "workers": 2,
+            "budget": 50_000,
+            "algorithms": [
+                {"algorithm": "pmc", "n_particles": 10, "schedule": [1.0, 0.5]},
+                {"algorithm": "mcmc", "epsilon": 0.5, "n_iter": 100, "proposal_sd": 1.0},
+            ],
+        }
+    )
+    pmc, mcmc = cfg.algorithms
+    assert (pmc.workers, pmc.budget) == (2, 50_000)
+    assert (mcmc.workers, mcmc.budget) == (1, 50_000)
 
 
 def test_bundled_configs_validate():

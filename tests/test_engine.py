@@ -4,7 +4,7 @@ import pytest
 from popabc import engine
 from popabc.errors import BudgetExhausted, ConfigError
 from popabc.kernel import KernelScale
-from popabc.models import ModelSpec, UniformBoxPrior
+from popabc.models import IndependentNormalPrior, ModelSpec, UniformBoxPrior, distance
 from popabc.samplers import abc_pmc, abc_rejection
 
 
@@ -131,8 +131,11 @@ def test_resolve_workers_rejects_garbage():
 
 def test_first_wave_matches_request_size():
     assert engine._wave_size(500, 0, 0) == 500
-    # later waves target the remaining need at the observed rate
-    assert engine._wave_size(100, 50, 200) == int(np.ceil(1.15 * 50 / 0.25))
+    # later waves plan the remaining need at the observed rate, no headroom
+    assert engine._wave_size(100, 50, 200) == int(np.ceil(50 / 0.25))
+    # within the floor of 64 and the cap of max(4n, 20000)
+    assert engine._wave_size(100, 99, 100) == 64
+    assert engine._wave_size(100, 0, 1000) == 20_000
 
 
 def test_budget_counts_partial_progress():
@@ -187,3 +190,96 @@ def test_support_redraw_redraws_the_ancestor():
     # the share's standard error is sqrt((1/3)(2/3)/3000) = 0.0086
     assert abs(share - 1 / 3) < 0.05, share
     assert np.all(res.thetas[res.ancestors == 0] >= 0.0)
+
+
+def test_stall_guard_raises_when_nothing_is_ever_accepted(monkeypatch):
+    monkeypatch.setattr(engine, "STALL_WAVES", 5)
+    model = ModelSpec(
+        name="never",
+        prior=UniformBoxPrior([0.0], [1.0]),
+        simulator=lambda theta, rng: np.array([2.0]),
+        observed=[0.5],
+    )
+    with pytest.raises(BudgetExhausted, match="no attempt was accepted") as exc:
+        abc_rejection(model, 1.0, 10, seed=1)
+    assert "budget" not in str(exc.value)
+    assert (exc.value.requested, exc.value.accepted) == (10, 0)
+    # waves of 10, 10 * 10, 10 * 110, 10 * 1210 and the cap of 20000
+    assert exc.value.sims_used == 10 + 100 + 1100 + 12_100 + 20_000
+
+
+@pytest.mark.parametrize("n", [1, 10, 2000])
+def test_stall_guard_allows_a_million_attempts(n):
+    attempted = 0
+    for _ in range(engine.STALL_WAVES):
+        attempted += engine._wave_size(n, 0, attempted)
+    assert attempted > 1_000_000
+
+
+# ------------------------------------------------- the attempt loop is exact
+
+
+def reference_chunk(model, epsilon, seed, t, lo, hi, prev_thetas, prev_cumw, scale):
+    """The attempt loop with plain formulas: a fresh stream per attempt, a
+    searchsorted ancestor, a (1, d) noise block, an array support check and
+    ``models.distance``. Also returns how many proposals left the support."""
+    prior = model.prior
+    uniform = isinstance(prior, UniformBoxPrior)
+    thetas, dists, ancestors, redraws = [], [], [], 0
+    for counter in range(lo, hi):
+        rng = engine.attempt_stream(seed, t, counter)
+        j = -1
+        if prev_thetas is None:
+            theta = (rng.uniform(prior.lows, prior.highs) if uniform
+                     else rng.normal(prior.means, prior.sds))
+        else:
+            while True:
+                u = rng.random()
+                j = min(int(np.searchsorted(prev_cumw, u, side="right")), prev_cumw.size - 1)
+                noise = rng.standard_normal((1, model.dim))
+                if scale.mode == "diagonal":
+                    theta = (prev_thetas[j] + noise * np.sqrt(scale.tau2))[0]
+                else:
+                    theta = (prev_thetas[j] + noise @ np.linalg.cholesky(scale.cov).T)[0]
+                if not uniform or (np.all(theta >= prior.lows) and np.all(theta <= prior.highs)):
+                    break
+                redraws += 1
+        dists.append(distance(model.simulator(theta, rng), model.observed, model.summary_scale))
+        thetas.append(theta)
+        ancestors.append(j)
+    dists = np.array(dists)
+    return np.array(thetas), dists, np.array(ancestors), dists <= epsilon, redraws
+
+
+def noisy_box_model(prior):
+    def simulate(theta, rng):
+        return theta + 0.3 * rng.standard_normal(2)
+
+    return ModelSpec(name="noisy", prior=prior, simulator=simulate, observed=[0.5, 0.9],
+                     summary_scale=[1.0, 2.0])
+
+
+@pytest.mark.parametrize("prior", [UniformBoxPrior([0.0, 0.0], [1.0, 1.0]),
+                                   IndependentNormalPrior([0.5, 0.5], [1.0, 2.0])],
+                         ids=["uniform-box", "normal"])
+@pytest.mark.parametrize("scale", [KernelScale(tau2=[0.3, 0.1]),
+                                   KernelScale(cov=[[0.3, 0.1], [0.1, 0.2]])],
+                         ids=["diagonal", "full"])
+@pytest.mark.parametrize("t", [1, 3], ids=["generation-1", "propagation"])
+def test_attempt_chunk_equals_reference_loop(prior, scale, t):
+    model = noisy_box_model(prior)
+    rng = np.random.default_rng(8)
+    prev_thetas = rng.uniform(0.0, 1.0, size=(50, 2))
+    prev_cumw = np.cumsum(rng.dirichlet(np.ones(50)))
+    args = (model, 0.4, 2024, t, 100, 700) + (
+        (None, None, None) if t == 1 else (prev_thetas, prev_cumw, scale)
+    )
+    lo, thetas, dists, ancestors, accept = engine._run_attempt_chunk(args)
+    ref_thetas, ref_dists, ref_ancestors, ref_accept, redraws = reference_chunk(*args)
+    assert lo == 100
+    assert thetas.shape == (600, 2) and np.all(thetas == ref_thetas)
+    assert np.all(dists == ref_dists)
+    assert np.all(ancestors == ref_ancestors)
+    assert np.all(accept == ref_accept) and 0 < accept.sum() < 600
+    if t == 3 and isinstance(prior, UniformBoxPrior):
+        assert redraws > 100

@@ -115,6 +115,14 @@ def test_kernel_scale_validation():
         KernelScale(cov=np.array([[1.0, 2.0], [2.0, 1.0]]))  # not PD
 
 
+def test_perturb_rejects_wrong_shape():
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError):
+        perturb(np.array([0.0, 0.0]), KernelScale(tau2=[1.0]), rng)
+    with pytest.raises(ValueError):
+        perturb(np.array([[0.0, 0.0]]), KernelScale(cov=np.eye(2)), rng)
+
+
 def test_perturb_at_variance_floor_stays_close():
     scale = KernelScale(tau2=[1e-12])
     rng = np.random.default_rng(0)

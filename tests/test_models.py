@@ -124,6 +124,24 @@ def test_sampled_points_have_positive_density(prior):
         assert prior.logpdf(prior.sample(rng)) > -math.inf
 
 
+def test_in_support_rejects_nan_and_wrong_length():
+    prior = UniformBoxPrior([0.0, 0.0], [1.0, 1.0])
+    assert prior.in_support(np.array([0.0, 1.0])) is True
+    assert prior.in_support(np.array([np.nan, 0.5])) is False
+    assert prior.in_support([0.5, 1.5]) is False
+    for theta in ([0.5], [0.5, 0.5, 0.5], [[0.5, 0.5]]):
+        with pytest.raises(ValueError):
+            prior.in_support(theta)
+
+
+@pytest.mark.parametrize("returned", [0.7, [0.7], np.array([0.7]), np.float64(0.7)],
+                         ids=["float", "list", "array", "numpy-scalar"])
+def test_simulate_distance_accepts_scalar_and_list_returns(returned):
+    model = ModelSpec(name="fixed", prior=UniformBoxPrior([0.0], [1.0]),
+                      simulator=lambda theta, rng: returned, observed=[0.5])
+    assert model.simulate_distance(np.array([0.5]), np.random.default_rng(0)) == distance(0.7, 0.5)
+
+
 def test_modelspec_validates_simulator_output():
     model = ModelSpec(
         name="bad",
