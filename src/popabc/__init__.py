@@ -16,7 +16,7 @@ from .diagnostics import (
     ks_two_sample,
     weighted_quantile,
 )
-from .errors import BudgetExhausted, ConfigError, DegeneratePopulation
+from .errors import BudgetExhausted, ConfigError, DegeneratePopulation, Stalled
 from .kernel import KernelScale, adapt_scale, perturb, weighted_moments
 from .models import (
     IndependentNormalPrior,
@@ -52,6 +52,7 @@ __all__ = [
     "OracleComparison",
     "Population",
     "PosteriorOracle",
+    "Stalled",
     "ToleranceSchedule",
     "UniformBoxPrior",
     "abc_mcmc",

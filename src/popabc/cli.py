@@ -8,8 +8,8 @@ Subcommands:
 A compare replicate is one run. Runs print one progress line per generation
 to stderr; compare's totals count every simulator call, a failed replicate's
 included. Exit codes: 0 success, 2 configuration/validation error, 3 budget
-exhausted or degenerate population (partial outputs are kept and flagged in
-the report).
+exhausted, stalled or degenerate population (partial outputs are kept and
+flagged in the report).
 """
 from __future__ import annotations
 
@@ -32,7 +32,7 @@ from .config import (
     parse_run_config,
 )
 from .diagnostics import compare_to_oracle, generation_stats
-from .errors import BudgetExhausted, ConfigError, DegeneratePopulation
+from .errors import BudgetExhausted, ConfigError, DegeneratePopulation, Stalled
 from .kernel import KernelScale
 from .samplers import Population, abc_mcmc, abc_pmc, abc_prc, abc_rejection
 
@@ -106,8 +106,8 @@ def _dispatch(cfg: RunConfig, model, seed: int, on_generation):
 
 
 def execute_run(cfg: RunConfig, seed: int | None = None, persist_to: Path | None = None):
-    """Run one configured sampler; returns (exit_code, report, populations). A budget
-    or degenerate-population failure is recorded in the report instead of raised."""
+    """Run one configured sampler; returns (exit_code, report, populations). A budget,
+    stall or degenerate-population failure is recorded in the report instead of raised."""
     model = _get_model(cfg.model)
     seed = cfg.seed if seed is None else seed
     out_dir = persist_to
@@ -139,7 +139,8 @@ def execute_run(cfg: RunConfig, seed: int | None = None, persist_to: Path | None
         mcmc_extra = _dispatch(cfg, model, seed, on_generation)
     except BudgetExhausted as exc:
         partial = {"requested": exc.requested, "accepted": exc.accepted, "sims_used": exc.sims_used}
-        outcome.update(status="budget-exhausted", error=str(exc), partial=partial)
+        status = "stalled" if isinstance(exc, Stalled) else "budget-exhausted"
+        outcome.update(status=status, error=str(exc), partial=partial)
     except DegeneratePopulation as exc:
         outcome.update(status="degenerate-population", error=str(exc))
     wall = time.perf_counter() - started

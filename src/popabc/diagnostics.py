@@ -98,13 +98,9 @@ def compare_to_oracle(
         if thetas.shape[1] != 1:
             raise ValueError("oracle comparison is defined for 1-d parameters")
         thetas = thetas[:, 0]
-    weights = np.asarray(weights, dtype=float)
-    kernel.check_weight_sum(weights)
-    # moments computed directly so degenerate one-particle samples still compare
-    mean = float(weights @ thetas)
-    var = float(weights @ (thetas - mean) ** 2)
-    mean_abs_err = abs(mean - oracle.mean)
-    var_rel_err = abs(var - oracle.var) / oracle.var
+    mean, var = kernel.weighted_moments(thetas, weights)
+    mean_abs_err = abs(float(mean[0]) - oracle.mean)
+    var_rel_err = abs(float(var[0]) - oracle.var) / oracle.var
     grid = np.linspace(oracle.ppf(0.001), oracle.ppf(0.999), ORACLE_GRID_SIZE)
     empirical = weighted_ecdf(thetas, weights)(grid)
     ks = float(np.max(np.abs(empirical - np.asarray(oracle.cdf(grid), dtype=float))))

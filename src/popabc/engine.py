@@ -25,7 +25,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from . import kernel
-from .errors import BudgetExhausted, ConfigError
+from .errors import BudgetExhausted, ConfigError, Stalled
 from .models import ModelSpec
 
 # chain namespace: generation indices start at 1, so t=0 is reserved for
@@ -219,11 +219,7 @@ def _collect(
         if remaining <= 0:
             raise BudgetExhausted(n, accepted, attempted)
         if dead_waves == STALL_WAVES:
-            raise BudgetExhausted(
-                n, accepted, attempted,
-                f"no attempt was accepted in {STALL_WAVES} waves in a row: {accepted}/{n} "
-                f"particles accepted after {attempted} simulator calls",
-            )
+            raise Stalled(n, accepted, attempted, STALL_WAVES)
         wave = _wave_size(n, accepted, attempted)
         if remaining < wave:
             wave = int(remaining)

@@ -19,6 +19,17 @@ class BudgetExhausted(RuntimeError):
         self.sims_used = sims_used
 
 
+class Stalled(BudgetExhausted):
+    """Raised when a generation accepts nothing in ``waves`` waves in a row, budget or not."""
+
+    def __init__(self, requested: int, accepted: int, sims_used: int, waves: int):
+        super().__init__(
+            requested, accepted, sims_used,
+            f"no attempt was accepted in {waves} waves in a row: {accepted}/{requested} "
+            f"particles accepted after {sims_used} simulator calls",
+        )
+
+
 class DegeneratePopulation(RuntimeError):
     """Weighted population has collapsed (too few effective particles or zero variance)."""
 

@@ -57,10 +57,7 @@ class UniformBoxPrior:
         return np.array([rng.uniform(low, high) for low, high in zip(*self._bounds)])
 
     def logpdf(self, theta) -> float:
-        theta = _check_theta(theta, self.dim)
-        if np.all(theta >= self.lows) and np.all(theta <= self.highs):
-            return -self._log_volume
-        return -np.inf
+        return -self._log_volume if self.in_support(theta) else -math.inf
 
     def logpdf_batch(self, thetas: np.ndarray) -> np.ndarray:
         thetas = _check_thetas(thetas, self.dim)
@@ -112,7 +109,7 @@ class IndependentNormalPrior:
         return self._log_norm - 0.5 * np.sum(z * z, axis=1)
 
     def in_support(self, theta) -> bool:
-        return True
+        return self.logpdf(theta) > -math.inf
 
 
 PriorSpec = Union[UniformBoxPrior, IndependentNormalPrior]

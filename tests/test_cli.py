@@ -221,6 +221,24 @@ def test_run_rejection(tmp_path):
     assert report["generations"][0]["epsilon"] == 1.0
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"algorithm": "rejection", "n_particles": 1, "epsilon": 1.0},
+        {"algorithm": "mcmc", "epsilon": 1.0, "n_iter": 50, "burn_in": 49, "proposal_sd": 1.0},
+    ],
+    ids=["rejection", "mcmc"],
+)
+def test_run_one_particle_population_is_ok(doc):
+    code, report, populations = execute_run(
+        parse_run_config({"model": "mixture-toy", "seed": 6, **doc})
+    )
+    assert (code, report["status"], report["error"]) == (0, "ok", None)
+    assert len(report["generations"]) == 1 and populations[0].n == 1
+    assert report["generations"][0]["ess"] == 1.0
+    assert report["generations"][0]["weighted_var"] == [0.0]
+
+
 def test_run_mcmc(tmp_path):
     out_dir = tmp_path / "out"
     doc = {

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from popabc import engine
-from popabc.errors import BudgetExhausted, ConfigError
+from popabc import benchmarks, engine
+from popabc.cli import execute_run
+from popabc.config import parse_run_config
+from popabc.errors import BudgetExhausted, ConfigError, Stalled
 from popabc.kernel import KernelScale
 from popabc.models import IndependentNormalPrior, ModelSpec, UniformBoxPrior, distance
 from popabc.samplers import abc_pmc, abc_rejection
@@ -200,12 +202,23 @@ def test_stall_guard_raises_when_nothing_is_ever_accepted(monkeypatch):
         simulator=lambda theta, rng: np.array([2.0]),
         observed=[0.5],
     )
-    with pytest.raises(BudgetExhausted, match="no attempt was accepted") as exc:
+    with pytest.raises(Stalled, match="no attempt was accepted") as exc:
         abc_rejection(model, 1.0, 10, seed=1)
     assert "budget" not in str(exc.value)
     assert (exc.value.requested, exc.value.accepted) == (10, 0)
     # waves of 10, 10 * 10, 10 * 110, 10 * 1210 and the cap of 20000
-    assert exc.value.sims_used == 10 + 100 + 1100 + 12_100 + 20_000
+    sims = 10 + 100 + 1100 + 12_100 + 20_000
+    assert exc.value.sims_used == sims
+    # a run with no budget reports the stall as a stall, with the same partial counts
+    monkeypatch.setitem(benchmarks.MODEL_BUILDERS, "mixture-toy", lambda: model)
+    cfg = parse_run_config({"algorithm": "rejection", "model": "mixture-toy", "seed": 1,
+                            "n_particles": 10, "epsilon": 1.0})
+    code, report, _ = execute_run(cfg)
+    assert code == 3
+    assert report["status"] == "stalled"
+    assert report["error"] == str(exc.value)
+    assert report["partial"] == {"requested": 10, "accepted": 0, "sims_used": sims}
+    assert report["generations"] == [] and report["totals"]["sims_used"] == sims
 
 
 @pytest.mark.parametrize("n", [1, 10, 2000])

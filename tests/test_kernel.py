@@ -55,9 +55,15 @@ def test_weighted_moments_degenerate_point_mass():
         adapt_scale(np.array([[3.0], [3.0]]), np.array([0.25, 0.75]))
 
 
-def test_weighted_moments_needs_two_effective_particles():
-    with pytest.raises(DegeneratePopulation):
-        weighted_moments(np.array([[0.0], [1.0]]), np.array([1.0, 0.0]))
+def test_adapt_scale_needs_two_effective_particles():
+    # one weighted particle is a valid population with variance exactly 0,
+    # which the variance floor turns into DegeneratePopulation in both modes
+    thetas, weights = np.array([[0.0, 2.0], [1.0, 3.0]]), np.array([1.0, 0.0])
+    mean, var = weighted_moments(thetas, weights)
+    assert mean.tolist() == [0.0, 2.0] and var.tolist() == [0.0, 0.0]
+    for mode in ("diagonal", "full"):
+        with pytest.raises(DegeneratePopulation):
+            adapt_scale(thetas, weights, mode=mode)
 
 
 def test_weighted_moments_rejects_unnormalized():
@@ -113,6 +119,12 @@ def test_kernel_scale_validation():
         KernelScale(tau2=[0.0])
     with pytest.raises(ValueError):
         KernelScale(cov=np.array([[1.0, 2.0], [2.0, 1.0]]))  # not PD
+    # np.linalg.cholesky factors NaN and inf without raising
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            KernelScale(tau2=[1.0, bad])
+        with pytest.raises(ValueError):
+            KernelScale(cov=np.array([[1.0, 0.0], [0.0, bad]]))
 
 
 def test_perturb_rejects_wrong_shape():
@@ -235,3 +247,15 @@ def test_log_density_matrix_matches_pointwise():
                 assert matrix[i, j] == pytest.approx(
                     multivariate_normal(mean=cs[j], cov=cov).logpdf(xs[i]), rel=1e-12
                 )
+    # diagonal mode is full mode with cov = diag(tau2): same moves, same densities
+    v = np.array([0.5, 2.0])
+    diagonal, full = KernelScale(tau2=v), KernelScale(cov=np.diag(v))
+    for size in (None, 50):
+        assert np.array_equal(
+            perturb([1.0, -2.0], diagonal, np.random.default_rng(24), size=size),
+            perturb([1.0, -2.0], full, np.random.default_rng(24), size=size),
+        )
+    xs, cs = rng.normal(size=(7, 2)), rng.normal(size=(5, 2))
+    np.testing.assert_allclose(
+        log_density_matrix(xs, cs, diagonal), log_density_matrix(xs, cs, full), rtol=1e-12
+    )

@@ -125,13 +125,14 @@ def test_sampled_points_have_positive_density(prior):
 
 
 def test_in_support_rejects_nan_and_wrong_length():
-    prior = UniformBoxPrior([0.0, 0.0], [1.0, 1.0])
-    assert prior.in_support(np.array([0.0, 1.0])) is True
-    assert prior.in_support(np.array([np.nan, 0.5])) is False
-    assert prior.in_support([0.5, 1.5]) is False
-    for theta in ([0.5], [0.5, 0.5, 0.5], [[0.5, 0.5]]):
-        with pytest.raises(ValueError):
-            prior.in_support(theta)
+    box = UniformBoxPrior([0.0, 0.0], [1.0, 1.0])
+    assert box.in_support([0.5, 1.5]) is False
+    for prior in (box, IndependentNormalPrior([0.0, 0.0], [1.0, 1.0])):
+        assert prior.in_support(np.array([0.0, 1.0])) is True
+        assert prior.in_support(np.array([np.nan, 0.5])) is False
+        for theta in ([0.5], [0.5, 0.5, 0.5], [[0.5, 0.5]]):
+            with pytest.raises(ValueError):
+                prior.in_support(theta)
 
 
 @pytest.mark.parametrize("returned", [0.7, [0.7], np.array([0.7]), np.float64(0.7)],
