@@ -7,7 +7,6 @@ corrects, and likelihood-free MCMC — plus diagnostics, benchmark models
 with analytic reference posteriors, and a deterministic parallel engine.
 """
 from .diagnostics import (
-    GenerationStats,
     OracleComparison,
     PosteriorOracle,
     compare_to_oracle,
@@ -25,7 +24,6 @@ from .models import (
     distance,
 )
 from .samplers import (
-    AutoSchedule,
     MCMCResult,
     Population,
     ToleranceSchedule,
@@ -40,11 +38,9 @@ from .samplers import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AutoSchedule",
     "BudgetExhausted",
     "ConfigError",
     "DegeneratePopulation",
-    "GenerationStats",
     "IndependentNormalPrior",
     "KernelScale",
     "MCMCResult",

@@ -33,7 +33,6 @@ from .config import (
 )
 from .diagnostics import compare_to_oracle, generation_stats
 from .errors import BudgetExhausted, ConfigError, DegeneratePopulation, Stalled
-from .kernel import KernelScale
 from .samplers import Population, abc_mcmc, abc_pmc, abc_prc, abc_rejection
 
 
@@ -42,14 +41,6 @@ def _get_model(name: str):
         return benchmarks.get_model(name)
     except KeyError as exc:
         raise ConfigError(str(exc.args[0])) from None
-
-
-def _scale_payload(scale: KernelScale | None):
-    if scale is None:
-        return None
-    if scale.mode == "diagonal":
-        return {"mode": "diagonal", "tau2": [float(v) for v in scale.tau2]}
-    return {"mode": "full", "cov": [[float(v) for v in row] for row in scale.cov]}
 
 
 def _mcmc_population(cfg: RunConfig, model, seed: int) -> tuple[Population, dict]:
@@ -124,8 +115,7 @@ def execute_run(cfg: RunConfig, seed: int | None = None, persist_to: Path | None
         populations.append(pop)
         if out_dir is not None:
             persist.write_population(out_dir / persist.population_filename(pop.t), pop)
-        block = asdict(generation_stats(pop))
-        block["scale"] = _scale_payload(pop.scale)
+        block = generation_stats(pop)
         generations.append(block)
         print(
             f"[{cfg.algorithm} t={block['t']}] eps={block['epsilon']:g} n={pop.n} "

@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple
 import yaml
 
 from .errors import ConfigError
-from .samplers import AutoSchedule, ToleranceSchedule
+from .samplers import ToleranceSchedule
 
 ALGORITHMS = ("rejection", "pmc", "prc", "mcmc")
 POPULATION_ALGORITHMS = ("rejection", "pmc", "prc")
@@ -31,7 +31,7 @@ class RunConfig:
     model: str
     seed: int
     n_particles: int | None = None
-    schedule: ToleranceSchedule | AutoSchedule | None = None
+    schedule: ToleranceSchedule | None = None
     epsilon: float | None = None
     workers: int | str = 1
     budget: int | None = None
@@ -49,8 +49,6 @@ class RunConfig:
 
     @property
     def final_epsilon(self) -> float:
-        if isinstance(self.schedule, AutoSchedule):
-            raise ConfigError("auto-scheduled runs have no fixed final tolerance")
         if self.schedule is not None:
             return self.schedule.epsilons[-1]
         return self.epsilon
@@ -96,7 +94,7 @@ class _Key(NamedTuple):
 
 
 # An algorithm rejects the keys it does not read. The tolerance checks live in
-# ToleranceSchedule and AutoSchedule, whose ValueError names the bad entries.
+# ToleranceSchedule, whose ValueError names the bad entries.
 _RUN_KEYS = {
     "algorithm": _Key(f"one of {', '.join(ALGORITHMS)}", lambda v: v in ALGORITHMS, default=_REQUIRED),
     "model": _Key("a model name", lambda v: True, default=_REQUIRED, convert=str),
@@ -116,12 +114,6 @@ _RUN_KEYS = {
         lambda v: isinstance(v, dict) and v.get("mode", "diagonal") in ("diagonal", "full")
         and set(v) <= {"mode"},
         SEQUENTIAL_ALGORITHMS, "diagonal", lambda v: v.get("mode", "diagonal"),
-    ),
-    "auto_schedule": _Key(
-        "a mapping of 'quantile' (a number) and 'generations' (an integer)",
-        lambda v: isinstance(v, dict) and set(v) == {"quantile", "generations"}
-        and _is_number(v["quantile"]) and _is_int(v["generations"]),
-        SEQUENTIAL_ALGORITHMS,
     ),
     "n_iter": _Key("a positive integer", _int_in(1), ("mcmc",), _REQUIRED),
     "proposal_sd": _Key(
@@ -157,14 +149,6 @@ def _check_keys(doc, keys: dict, context: str):
         raise ConfigError(f"{context}: unknown keys {sorted(unknown)}")
 
 
-def _converted(convert, name: str, value, context: str):
-    """``convert(value)``, with its ValueError raised as a ConfigError naming the key."""
-    try:
-        return convert(value)
-    except ValueError as exc:
-        raise ConfigError(f"{context}: {name} {value!r}: {exc}") from None
-
-
 def _parse_keys(doc: dict, keys: dict, context: str, algorithm: str | None = None) -> dict:
     """Checked, converted value of each key that ``algorithm`` reads (every key if None);
     a key given for an algorithm that does not read it is an error unless it is the
@@ -184,7 +168,10 @@ def _parse_keys(doc: dict, keys: dict, context: str, algorithm: str | None = Non
         elif not key.valid(value):
             raise ConfigError(f"{context}: {name} must be {key.what}, got {value!r}")
         else:
-            values[name] = _converted(key.convert, name, value, context)
+            try:
+                values[name] = key.convert(value)
+            except ValueError as exc:
+                raise ConfigError(f"{context}: {name} {value!r}: {exc}") from None
     return values
 
 
@@ -194,18 +181,6 @@ def parse_run_config(doc: dict, context: str = "run config") -> RunConfig:
     values = _parse_keys(doc, _RUN_KEYS, context, algorithm)
     if algorithm in SEQUENTIAL_ALGORITHMS and values["n_particles"] < 2:
         raise ConfigError(f"{context}: {algorithm} needs n_particles >= 2")
-    auto = values.pop("auto_schedule", None)
-    if auto is not None:
-        start = values["schedule"].epsilons
-        if len(start) != 1:
-            raise ConfigError(
-                f"{context}: with auto_schedule, give schedule as the single "
-                "starting tolerance [eps_1]"
-            )
-        values["schedule"] = _converted(
-            lambda a: AutoSchedule(start[0], a["quantile"], a["generations"]),
-            "auto_schedule", auto, context,
-        )
     if algorithm == "mcmc" and values["burn_in"] >= values["n_iter"]:
         raise ConfigError(f"{context}: burn_in must be smaller than n_iter")
     values["kernel_mode"] = values.pop("kernel", "diagonal")

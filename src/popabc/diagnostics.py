@@ -107,22 +107,15 @@ def compare_to_oracle(
     return OracleComparison(mean_abs_err, var_rel_err, ks)
 
 
-@dataclass(frozen=True)
-class GenerationStats:
-    """Per-generation diagnostics destined for the run report."""
+def generation_stats(pop: Population) -> dict:
+    """The run report's block for one population.
 
-    t: int
-    epsilon: float
-    ess: float
-    acceptance_rate: float
-    sims_used: int
-    weighted_mean: list[float]
-    weighted_var: list[float]
-    quantiles: dict[str, list[float]]
-
-
-def generation_stats(pop: Population) -> GenerationStats:
-    """Summarize one population: ESS, acceptance, moments and quantiles."""
+    Keys: ``t``, ``epsilon``, ``ess``, ``acceptance_rate``, ``sims_used``,
+    ``weighted_mean``, ``weighted_var``, ``quantiles`` (one list per level in
+    QUANTILE_LEVELS, keyed by the level as a string) and ``scale``, the kernel
+    that proposed the population: None for the first generation,
+    ``{"mode": "diagonal", "tau2": [...]}`` or ``{"mode": "full", "cov": [[...]]}``.
+    """
     mean, var = kernel.weighted_moments(pop.thetas, pop.weights)
     quantiles = {
         str(q): [
@@ -131,13 +124,20 @@ def generation_stats(pop: Population) -> GenerationStats:
         ]
         for q in QUANTILE_LEVELS
     }
-    return GenerationStats(
-        t=pop.t,
-        epsilon=pop.epsilon,
-        ess=ess(pop.weights),
-        acceptance_rate=pop.n / pop.sims_used,
-        sims_used=pop.sims_used,
-        weighted_mean=[float(v) for v in mean],
-        weighted_var=[float(v) for v in var],
-        quantiles=quantiles,
-    )
+    if pop.scale is None:
+        scale = None
+    elif pop.scale.mode == "diagonal":
+        scale = {"mode": "diagonal", "tau2": [float(v) for v in pop.scale.tau2]}
+    else:
+        scale = {"mode": "full", "cov": [[float(v) for v in row] for row in pop.scale.cov]}
+    return {
+        "t": pop.t,
+        "epsilon": pop.epsilon,
+        "ess": ess(pop.weights),
+        "acceptance_rate": pop.n / pop.sims_used,
+        "sims_used": pop.sims_used,
+        "weighted_mean": [float(v) for v in mean],
+        "weighted_var": [float(v) for v in var],
+        "quantiles": quantiles,
+        "scale": scale,
+    }

@@ -151,7 +151,7 @@ def perturb(
     ``size=None`` returns one vector; an integer returns a ``(size, d)`` block
     drawn from the same stream.
     """
-    theta_star = np.array(theta_star, dtype=float, ndmin=1)
+    theta_star = np.asarray(theta_star, dtype=float)
     d = scale.dim
     if theta_star.shape != (d,):
         raise ValueError(f"theta_star has shape {theta_star.shape}, expected ({d},)")

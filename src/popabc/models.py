@@ -109,7 +109,8 @@ class IndependentNormalPrior:
         return self._log_norm - 0.5 * np.sum(z * z, axis=1)
 
     def in_support(self, theta) -> bool:
-        return self.logpdf(theta) > -math.inf
+        """A Gaussian's support is all of R^d: every finite vector of the right length."""
+        return all(map(math.isfinite, _check_theta(theta, self.dim).tolist()))
 
 
 PriorSpec = Union[UniformBoxPrior, IndependentNormalPrior]

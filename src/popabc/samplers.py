@@ -95,30 +95,6 @@ class ToleranceSchedule:
                 )
         object.__setattr__(self, "epsilons", eps)
 
-    @property
-    def n_generations(self) -> int:
-        return len(self.epsilons)
-
-
-@dataclass(frozen=True)
-class AutoSchedule:
-    """Quantile-driven schedule: eps_{t+1} = q-quantile of accepted distances.
-
-    A convenience extension — comparison runs use fixed schedules.
-    """
-
-    first_epsilon: float
-    quantile: float
-    n_generations: int
-
-    def __post_init__(self):
-        if not (0.0 < self.quantile < 1.0):
-            raise ValueError("quantile must lie in (0, 1)")
-        if self.first_epsilon <= 0:
-            raise ValueError("first_epsilon must be positive")
-        if self.n_generations < 1:
-            raise ValueError("n_generations must be >= 1")
-
 
 def pmc_log_weights(
     thetas: np.ndarray,
@@ -204,26 +180,6 @@ def _rejection_generation(model, epsilon, n_particles, seed, budget, pool) -> Po
     )
 
 
-def _epsilon_for(schedule, t: int, prev: Population | None) -> float:
-    if isinstance(schedule, ToleranceSchedule):
-        return schedule.epsilons[t - 1]
-    if t == 1:
-        return schedule.first_epsilon
-    eps = _plain_quantile(prev.dists, schedule.quantile)
-    if eps >= prev.epsilon:
-        raise DegeneratePopulation(
-            f"auto schedule stalled: quantile tolerance {eps} did not decrease"
-        )
-    return eps
-
-
-def _plain_quantile(values: np.ndarray, q: float) -> float:
-    order = np.sort(np.asarray(values, dtype=float))
-    cum = np.arange(1, order.size + 1) / order.size
-    idx = min(int(np.searchsorted(cum, q, side="left")), order.size - 1)
-    return float(order[idx])
-
-
 def _sequential_abc(
     model: ModelSpec,
     schedule,
@@ -239,14 +195,13 @@ def _sequential_abc(
     _validate_common(model, n_particles, seed)
     if n_particles < 2:
         raise ValueError("sequential samplers need n_particles >= 2")
-    if not isinstance(schedule, (ToleranceSchedule, AutoSchedule)):
+    if not isinstance(schedule, ToleranceSchedule):
         schedule = ToleranceSchedule(tuple(schedule))
     remaining = None if budget is None else int(budget)
     populations: list[Population] = []
     with engine.WorkerPool(workers, model) as pool:
-        for t in range(1, schedule.n_generations + 1):
+        for t, eps_t in enumerate(schedule.epsilons, start=1):
             prev = populations[-1] if populations else None
-            eps_t = _epsilon_for(schedule, t, prev)
             if prev is None:
                 pop = _rejection_generation(model, eps_t, n_particles, seed, remaining, pool)
             else:

@@ -9,7 +9,7 @@ from popabc.benchmarks import get_model, mixture
 from popabc.cli import execute_compare, execute_run, main
 from popabc.config import load_run_config, parse_compare_config, parse_run_config
 from popabc.errors import ConfigError
-from popabc.models import ModelSpec
+from popabc.models import ModelSpec, UniformBoxPrior
 
 
 def write_config(tmp_path, doc, name="config.yaml"):
@@ -60,9 +60,10 @@ def test_validate_missing_required_key(tmp_path, capsys):
 
 
 def test_validate_unknown_key(tmp_path, capsys):
-    path = write_config(tmp_path, pmc_doc(particles=10))
-    assert main(["validate", "--config", path]) == 2
-    assert "particles" in capsys.readouterr().err
+    for key, value in (("particles", 10), ("auto_schedule", {"quantile": 0.5, "generations": 4})):
+        path = write_config(tmp_path, pmc_doc(**{key: value}))
+        assert main(["validate", "--config", path]) == 2
+        assert key in capsys.readouterr().err
 
 
 def test_validate_missing_file():
@@ -82,18 +83,6 @@ def test_parse_mcmc_requires_chain_keys():
         parse_run_config(doc)
 
 
-def test_parse_auto_schedule():
-    cfg = parse_run_config(
-        pmc_doc(schedule=[2.0], auto_schedule={"quantile": 0.5, "generations": 4})
-    )
-    assert cfg.schedule.quantile == 0.5
-    assert cfg.schedule.n_generations == 4
-    with pytest.raises(ConfigError):
-        parse_run_config(
-            pmc_doc(schedule=[2.0, 1.0], auto_schedule={"quantile": 0.5, "generations": 4})
-        )
-
-
 @pytest.mark.parametrize(
     "doc, key",
     [
@@ -101,12 +90,11 @@ def test_parse_auto_schedule():
         ({"algorithm": "rejection", "model": "mixture-toy", "seed": 1, "n_particles": 10,
           "epsilon": 0.5, "kernel": {"mode": "full"}}, "kernel"),
         ({"algorithm": "mcmc", "model": "mixture-toy", "seed": 1, "epsilon": 0.5, "n_iter": 100,
-          "proposal_sd": 1.0, "auto_schedule": {"quantile": 0.5, "generations": 4}},
-         "auto_schedule"),
+          "proposal_sd": 1.0, "kernel": {"mode": "full"}}, "kernel"),
         ({"algorithm": "mcmc", "model": "mixture-toy", "seed": 1, "epsilon": 0.5, "n_iter": 100,
           "proposal_sd": 1.0, "workers": 4}, "workers"),
     ],
-    ids=["pmc-epsilon", "rejection-kernel", "mcmc-auto_schedule", "mcmc-workers"],
+    ids=["pmc-epsilon", "rejection-kernel", "mcmc-kernel", "mcmc-workers"],
 )
 def test_parse_rejects_key_the_algorithm_does_not_read(doc, key):
     with pytest.raises(ConfigError, match=f"{key} does not apply to {doc['algorithm']}"):
@@ -159,14 +147,32 @@ def test_run_pmc_happy_path(tmp_path, capsys):
     assert "total sims" in out
 
 
-def test_run_records_proposal_scales(tmp_path):
-    out_dir = tmp_path / "out"
-    path = write_config(tmp_path, pmc_doc(out_dir=str(out_dir)))
-    main(["run", "--config", path])
-    report = persist.read_report(out_dir / "report.json")
-    assert report["generations"][0]["scale"] is None
-    assert report["generations"][1]["scale"]["mode"] == "diagonal"
-    assert len(report["generations"][1]["scale"]["tau2"]) == 1
+def test_run_records_proposal_scales(tmp_path, monkeypatch):
+    # a 2-d model, so that a full covariance has off-diagonal entries
+    plane = ModelSpec(name="plane", prior=UniformBoxPrior([0.0, 0.0], [1.0, 1.0]),
+                      simulator=lambda theta, rng: theta + 0.1 * rng.standard_normal(2),
+                      observed=[0.5, 0.5])
+    monkeypatch.setitem(benchmarks.MODEL_BUILDERS, "plane", lambda: plane)
+    for mode in ("diagonal", "full"):
+        out_dir = tmp_path / mode
+        doc = pmc_doc(model="plane", kernel={"mode": mode}, out_dir=str(out_dir))
+        assert main(["run", "--config", write_config(tmp_path, doc)]) == 0
+        report = persist.read_report(out_dir / "report.json")
+        assert report["generations"][0]["scale"] is None
+        scale = report["generations"][1]["scale"]
+        if mode == "diagonal":
+            assert set(scale) == {"mode", "tau2"} and scale["mode"] == "diagonal"
+            kernel_var = np.array(scale["tau2"])
+        else:
+            assert set(scale) == {"mode", "cov"} and scale["mode"] == "full"
+            cov = np.array(scale["cov"])
+            assert cov.shape == (2, 2)
+            assert cov[0, 1] == pytest.approx(cov[1, 0], rel=1e-12)
+            kernel_var = np.diag(cov)
+        # twice the weighted variance of the generation it perturbs
+        _, thetas, weights, _ = persist.read_population_csv(out_dir / "gen_001.csv")
+        var = weights @ (thetas - weights @ thetas) ** 2
+        assert kernel_var == pytest.approx(2.0 * var, rel=1e-12)
 
 
 def test_run_unreachable_tolerance_flags_partial(tmp_path):

@@ -186,14 +186,19 @@ def test_generation_stats_fields():
         dists=np.abs(rng.standard_normal(500)), scale=None, sims_used=1000,
     )
     stats = generation_stats(pop)
-    assert stats.t == 2
-    assert stats.acceptance_rate == pytest.approx(0.5)
-    assert stats.ess == pytest.approx(500.0, rel=1e-9)
+    assert list(stats) == ["t", "epsilon", "ess", "acceptance_rate", "sims_used",
+                           "weighted_mean", "weighted_var", "quantiles", "scale"]
+    assert stats["t"] == 2
+    assert stats["epsilon"] == 1e9
+    assert stats["sims_used"] == 1000
+    assert stats["acceptance_rate"] == pytest.approx(0.5)
+    assert stats["ess"] == pytest.approx(500.0, rel=1e-9)
     mean, var = weighted_moments(thetas, weights)
-    assert stats.weighted_mean[0] == pytest.approx(float(mean[0]), rel=1e-12)
-    assert stats.weighted_var[0] == pytest.approx(float(var[0]), rel=1e-12)
-    assert set(stats.quantiles) == {"0.025", "0.25", "0.5", "0.75", "0.975"}
-    assert stats.quantiles["0.5"][0] == weighted_quantile(thetas[:, 0], weights, 0.5)
+    assert stats["weighted_mean"][0] == pytest.approx(float(mean[0]), rel=1e-12)
+    assert stats["weighted_var"][0] == pytest.approx(float(var[0]), rel=1e-12)
+    assert set(stats["quantiles"]) == {"0.025", "0.25", "0.5", "0.75", "0.975"}
+    assert stats["quantiles"]["0.5"][0] == weighted_quantile(thetas[:, 0], weights, 0.5)
+    assert stats["scale"] is None
 
 
 def test_generation_stats_moments_match_independent_loop():

@@ -133,6 +133,8 @@ def test_perturb_rejects_wrong_shape():
         perturb(np.array([0.0, 0.0]), KernelScale(tau2=[1.0]), rng)
     with pytest.raises(ValueError):
         perturb(np.array([[0.0, 0.0]]), KernelScale(cov=np.eye(2)), rng)
+    with pytest.raises(ValueError):  # a scalar is not a (1,) vector
+        perturb(0.0, KernelScale(tau2=[1.0]), rng)
 
 
 def test_perturb_at_variance_floor_stays_close():

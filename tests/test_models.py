@@ -127,12 +127,18 @@ def test_sampled_points_have_positive_density(prior):
 def test_in_support_rejects_nan_and_wrong_length():
     box = UniformBoxPrior([0.0, 0.0], [1.0, 1.0])
     assert box.in_support([0.5, 1.5]) is False
+    rng = np.random.default_rng(3)
     for prior in (box, IndependentNormalPrior([0.0, 0.0], [1.0, 1.0])):
         assert prior.in_support(np.array([0.0, 1.0])) is True
-        assert prior.in_support(np.array([np.nan, 0.5])) is False
+        for bad in (np.nan, np.inf, -np.inf):
+            assert prior.in_support(np.array([bad, 0.5])) is False
         for theta in ([0.5], [0.5, 0.5, 0.5], [[0.5, 0.5]]):
             with pytest.raises(ValueError):
                 prior.in_support(theta)
+        # the support is where the prior density is positive
+        points = 2.0 * rng.standard_normal((200, 2))
+        for theta, log_p in zip(points, prior.logpdf_batch(points)):
+            assert prior.in_support(theta) is bool(log_p > -np.inf)
 
 
 @pytest.mark.parametrize("returned", [0.7, [0.7], np.array([0.7]), np.float64(0.7)],

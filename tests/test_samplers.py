@@ -10,7 +10,6 @@ from popabc.errors import BudgetExhausted
 from popabc.kernel import KernelScale, check_weight_sum
 from popabc.models import IndependentNormalPrior, ModelSpec, UniformBoxPrior
 from popabc.samplers import (
-    AutoSchedule,
     Population,
     ToleranceSchedule,
     abc_mcmc,
@@ -50,16 +49,7 @@ def test_schedule_requires_strict_decrease():
         ToleranceSchedule(())
     with pytest.raises(ValueError):
         ToleranceSchedule((1.0, -0.5))
-    assert ToleranceSchedule((3.0, 1.0, 0.0)).n_generations == 3
-
-
-def test_auto_schedule_validation():
-    with pytest.raises(ValueError):
-        AutoSchedule(first_epsilon=1.0, quantile=1.5, n_generations=3)
-    with pytest.raises(ValueError):
-        AutoSchedule(first_epsilon=-1.0, quantile=0.5, n_generations=3)
-    with pytest.raises(ValueError):
-        AutoSchedule(first_epsilon=1.0, quantile=0.5, n_generations=0)
+    assert ToleranceSchedule((3, 1.0, 0)).epsilons == (3.0, 1.0, 0.0)
 
 
 # ---------------------------------------------------------------- resampling
@@ -299,18 +289,6 @@ def test_budget_exhaustion_streams_completed_generations():
         abc_pmc(model, (5.0, 0.0), 100, seed=1, budget=400, on_generation=seen.append)
     assert len(seen) == 1
     assert seen[0].t == 1
-
-
-def test_auto_schedule_decreases():
-    pops = abc_pmc(
-        get_model("mixture-toy"),
-        AutoSchedule(first_epsilon=2.0, quantile=0.5, n_generations=4),
-        300,
-        seed=12,
-    )
-    eps = [p.epsilon for p in pops]
-    assert len(eps) == 4
-    assert all(b < a for a, b in zip(eps, eps[1:]))
 
 
 # ---------------------------------------------------------------- mcmc
