@@ -2,7 +2,9 @@
 """Regenerate the pinned coalescent observation and standardization constants.
 
 The bundle is deterministic given the seeds recorded inside it, so running
-this script reproduces the committed data file byte for byte.
+this script reproduces the committed data file byte for byte. It draws from
+the module's reference path (``simulate_alleles`` and ``summaries``), whose
+draws stay fixed, not from the sampler path ``simulate``.
 """
 import argparse
 import json

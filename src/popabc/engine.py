@@ -36,6 +36,10 @@ CHAIN_STREAM_T = 0
 # grow to the cap of max(4n, 20000) attempts, so that is over 1e6 attempts at any n
 STALL_WAVES = 60
 
+# pool chunking, see _split_chunks
+CHUNKS_PER_WORKER = 4
+MIN_CHUNK = 64
+
 
 def attempt_stream(seed: int, t: int, counter: int) -> Generator:
     """Independent RNG stream for one attempt, pure in (seed, t, counter).
@@ -88,6 +92,8 @@ def resolve_workers(requested) -> int:
 class WorkerPool:
     """Maps attempt chunks over an optional process pool.
 
+    With ``workers > 1`` each wave is cut into a multiple of ``workers``
+    equal chunks (``_split_chunks``), so the workers finish a wave together.
     Chunking only affects scheduling; results are reassembled in submission
     order, so the pool size never changes what a run produces.
     """
@@ -191,7 +197,19 @@ def _wave_size(n: int, accepted: int, attempted: int) -> int:
 
 
 def _split_chunks(start: int, size: int, workers: int):
-    n_chunks = 1 if workers <= 1 else min(workers * 4, max(1, size // 256), size)
+    """Contiguous, ordered chunks tiling attempts ``[start, start + size)``.
+
+    One worker takes the wave as one chunk. Otherwise the chunk count is a
+    multiple of ``workers``, up to ``CHUNKS_PER_WORKER`` chunks each while a
+    chunk keeps at least ``MIN_CHUNK`` attempts, so every worker gets an
+    equal share of even the smallest wave. A wave smaller than ``workers``
+    runs one attempt per chunk.
+    """
+    if workers <= 1:
+        n_chunks = 1
+    else:
+        per_worker = min(CHUNKS_PER_WORKER, max(1, size // (workers * MIN_CHUNK)))
+        n_chunks = min(workers * per_worker, size)
     bounds = np.linspace(start, start + size, n_chunks + 1).astype(int)
     return [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
 

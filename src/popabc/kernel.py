@@ -52,7 +52,9 @@ class KernelScale:
             raise ValueError("the kernel covariance must be a square matrix")
         if not np.all(np.isfinite(cov)):  # np.linalg.cholesky would pass NaN and inf on
             raise ValueError("the kernel covariance must be finite")
-        if not np.all(np.abs(cov - cov.T) <= 1e-12):
+        # relative to the entries: a weighted product of spread-out particles is
+        # symmetric only to rounding of its own size
+        if not np.all(np.abs(cov - cov.T) <= 1e-12 * max(1.0, np.abs(cov).max())):
             raise ValueError("the kernel covariance must be symmetric")
         try:
             chol = np.linalg.cholesky(cov)

@@ -53,6 +53,17 @@ def test_traced_pmc_run_reports_every_layer(tracer, tmp_path):
     assert summary["persist_s"] > 0
 
 
+def test_traced_coalescent_run_counts_every_simulation(tracer):
+    # the bench's coalescent models.simulate_us is read through this same boundary
+    summary, report = traced_run(
+        tracer,
+        {"algorithm": "pmc", "model": "coalescent-msat", "seed": 3, "n_particles": 100,
+         "schedule": [2.0, 1.0], "workers": 1},
+    )
+    assert report["totals"]["sims_used"] == summary["attempts"]
+    assert summary["perturb_calls"] >= summary["propagated_attempts"] > 0
+
+
 def test_traced_mcmc_run_counts_its_steps(tracer):
     summary, _ = traced_run(
         tracer,

@@ -139,6 +139,8 @@ def test_tiny_theta_is_monomorphic():
         assert summary[0] == 0.0  # variance
         assert summary[1] == 1.0  # distinct alleles
         assert summary[2] == 0.0  # heterozygosity
+    for _ in range(200):
+        assert np.array_equal(coalescent.simulate(np.array([1e-6]), rng), [0.0, 1.0, 0.0])
 
 
 def test_pairwise_mutation_count_mean():
@@ -179,6 +181,44 @@ def test_simulate_rejects_bad_args():
         coalescent.simulate_alleles(0.0, 30, rng)
     with pytest.raises(ValueError):
         coalescent.sample_tree(1, rng)
+    with pytest.raises(ValueError):
+        coalescent.simulate(np.array([0.0]), rng)
+    with pytest.raises(ValueError):
+        coalescent.simulate(np.array([5.0]), rng, n=1)
+
+
+def test_sampler_path_matches_reference_process():
+    """``simulate`` and the reference path agree on each summary's mean.
+
+    Seed 2024, 4,000 draws of each path per theta, so 12 z-scores. Each uses
+    both samples' variances, against the bench's band of |z| <= 4.9, which a
+    correct pair breaks with probability about 1e-6 per score.
+    """
+    rng = np.random.default_rng(2024)
+    draws = 4000
+    for theta in (0.5, 5.0, 13.8, 19.0):
+        fast = np.array([coalescent.simulate(np.array([theta]), rng) for _ in range(draws)])
+        ref = np.array([
+            coalescent.summaries(coalescent.simulate_alleles(theta, 30, rng)[0])
+            for _ in range(draws)
+        ])
+        se = np.sqrt((fast.var(axis=0) + ref.var(axis=0)) / draws)
+        z = (fast.mean(axis=0) - ref.mean(axis=0)) / se
+        assert np.all(np.abs(z) <= 4.9), f"theta={theta}: z={z}"
+
+
+def test_sampler_path_pairwise_variance_mean():
+    """Two genes differ by a sum of Poisson(theta * T) +-1 steps, T ~ Exp(1).
+
+    So E[variance summary] = E[(x1 - x2)^2] / 4 = theta / 4. Seed 2025,
+    20,000 draws per theta, band |z| <= 4.9.
+    """
+    rng = np.random.default_rng(2025)
+    draws = 20_000
+    for theta in (1.0, 5.0):
+        var = np.array([coalescent.simulate(np.array([theta]), rng, n=2)[0] for _ in range(draws)])
+        z = (var.mean() - theta / 4) / (var.std() / np.sqrt(draws))
+        assert abs(z) <= 4.9, f"theta={theta}: z={z}"
 
 
 def test_data_bundle_reproducible_from_pinned_seeds():

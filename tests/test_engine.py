@@ -140,6 +140,29 @@ def test_first_wave_matches_request_size():
     assert engine._wave_size(100, 0, 1000) == 20_000
 
 
+def test_split_chunks_tile_the_wave_evenly():
+    start = 777
+    for workers in (1, 2, 3, 8):
+        for size in (1, 2, 5, 64, 65, 391, 1000, 20_000):
+            chunks = engine._split_chunks(start, size, workers)
+            # contiguous and in order, covering [start, start + size) exactly
+            assert chunks[0][0] == start and chunks[-1][1] == start + size
+            assert all(lo < hi for lo, hi in chunks)
+            assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
+            lengths = [hi - lo for lo, hi in chunks]
+            if workers == 1:
+                assert len(chunks) == 1
+            elif size >= workers:
+                assert len(chunks) % workers == 0
+                assert len(chunks) <= engine.CHUNKS_PER_WORKER * workers
+                assert max(lengths) - min(lengths) <= 1
+            else:
+                assert lengths == [1] * size
+    # the coalescent-pmc waves at 2 workers
+    assert [hi - lo for lo, hi in engine._split_chunks(0, 1000, 2)] == [125] * 8
+    assert [hi - lo for lo, hi in engine._split_chunks(0, 64, 2)] == [32, 32]
+
+
 def test_budget_counts_partial_progress():
     model = passthrough_model()
     with pytest.raises(BudgetExhausted) as exc:

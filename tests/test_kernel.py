@@ -223,6 +223,23 @@ def test_full_covariance_adaptation_matches_oracle():
     assert np.allclose(scale.cov, 2 * cov, rtol=1e-12)
 
 
+def test_full_covariance_adapts_on_wide_populations():
+    # the weighted product is symmetric only to rounding of its own size, which an
+    # absolute symmetry tolerance of 1e-12 rejected for most populations at sd >= 1e3
+    rng = np.random.default_rng(25)
+    for sd in (1e2, 1e3, 1e5):
+        for _ in range(20):
+            thetas = rng.normal(0.0, sd, size=(500, 2))
+            weights = rng.dirichlet(np.ones(500))
+            scale = adapt_scale(thetas, weights, mode="full")
+            _, cov = weighted_covariance(thetas, weights)
+            assert np.array_equal(scale.cov, 2.0 * cov)
+    # an asymmetry well above rounding still fails, at any size of the entries
+    for size in (1.0, 1e6):
+        with pytest.raises(ValueError, match="symmetric"):
+            KernelScale(cov=size * np.array([[1.0, 0.5], [0.5 + 1e-9, 1.0]]))
+
+
 def test_full_covariance_perturb_and_density():
     cov = np.array([[1.5, -0.6], [-0.6, 0.9]])
     scale = KernelScale(cov=cov)
