@@ -32,10 +32,15 @@ def weighted_quantile(values: np.ndarray, weights: np.ndarray, q: float) -> floa
     if values.ndim != 1 or values.shape != weights.shape:
         raise ValueError("values and weights must be matching 1-d arrays")
     kernel.check_weight_sum(weights)
+    return _quantiles(values, weights, [q])[0]
+
+
+def _quantiles(values: np.ndarray, weights: np.ndarray, levels) -> list[float]:
+    """``weighted_quantile`` at every level, from one stable sort and one cumulative sum."""
     order = np.argsort(values, kind="stable")
     cum = np.cumsum(weights[order])
-    idx = min(int(np.searchsorted(cum, q, side="left")), values.size - 1)
-    return float(values[order[idx]])
+    idx = np.minimum(np.searchsorted(cum, levels, side="left"), values.size - 1)
+    return [float(v) for v in values[order[idx]]]
 
 
 def weighted_ecdf(values: np.ndarray, weights: np.ndarray):
@@ -117,13 +122,8 @@ def generation_stats(pop: Population) -> dict:
     ``{"mode": "diagonal", "tau2": [...]}`` or ``{"mode": "full", "cov": [[...]]}``.
     """
     mean, var = kernel.weighted_moments(pop.thetas, pop.weights)
-    quantiles = {
-        str(q): [
-            weighted_quantile(pop.thetas[:, k], pop.weights, q)
-            for k in range(pop.dim)
-        ]
-        for q in QUANTILE_LEVELS
-    }
+    per_dim = [_quantiles(pop.thetas[:, k], pop.weights, QUANTILE_LEVELS) for k in range(pop.dim)]
+    quantiles = {str(q): [col[i] for col in per_dim] for i, q in enumerate(QUANTILE_LEVELS)}
     if pop.scale is None:
         scale = None
     elif pop.scale.mode == "diagonal":

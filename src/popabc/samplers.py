@@ -25,7 +25,6 @@ from .errors import BudgetExhausted, DegeneratePopulation
 from .kernel import KernelScale
 from .models import ModelSpec, PriorSpec
 
-WEIGHT_BLOCK = 512  # new particles per block of the O(N^2) weight pass
 
 @dataclass(frozen=True)
 class Population:
@@ -106,19 +105,14 @@ def pmc_log_weights(
     """Log unnormalized PMC weights: log prior - log mixture proposal density.
 
     The denominator is the previous population's kernel mixture evaluated at
-    each new particle, an O(N^2) pass done blockwise in the log domain.
+    each new particle, an exact O(N^2) pass (``kernel.log_mixture_density``):
+    both populations centred on the previous weighted mean and whitened, the
+    quadratic form expanded into one GEMM per row block, each row shifted by
+    its max before ``exp``, and blocks sized to ``kernel.BUDGET`` entries.
     """
     thetas = np.asarray(thetas, dtype=float)
-    n = thetas.shape[0]
-    log_prior = prior.logpdf_batch(thetas)
-    with np.errstate(divide="ignore"):
-        log_wprev = np.log(np.asarray(prev_weights, dtype=float))
-    log_denom = np.empty(n)
-    for lo in range(0, n, WEIGHT_BLOCK):
-        hi = min(lo + WEIGHT_BLOCK, n)
-        lk = kernel.log_density_matrix(thetas[lo:hi], prev_thetas, scale)
-        log_denom[lo:hi] = logsumexp(lk + log_wprev[None, :], axis=1)
-    return log_prior - log_denom
+    log_denom = kernel.log_mixture_density(thetas, prev_thetas, prev_weights, scale)
+    return prior.logpdf_batch(thetas) - log_denom
 
 
 def prc_log_weights(

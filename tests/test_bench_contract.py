@@ -62,6 +62,8 @@ def test_traced_coalescent_run_counts_every_simulation(tracer):
     )
     assert report["totals"]["sims_used"] == summary["attempts"]
     assert summary["perturb_calls"] >= summary["propagated_attempts"] > 0
+    # and samplers.weight_pair_ns through this one: one 100 x 100 weight pass
+    assert summary["weight_pairs"] == 100 * 100
 
 
 def test_traced_mcmc_run_counts_its_steps(tracer):

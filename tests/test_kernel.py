@@ -11,11 +11,18 @@ from popabc.errors import DegeneratePopulation
 from popabc.kernel import (
     KernelScale,
     adapt_scale,
-    log_density_matrix,
+    log_mixture_density,
     perturb,
     weighted_covariance,
     weighted_moments,
 )
+
+
+def log_kernel_matrix(points, centers, scale):
+    """Entry (i, j) = log N(points[i]; centers[j], K): one single-centre mixture per column."""
+    return np.column_stack(
+        [log_mixture_density(points, [c], [1.0], scale) for c in np.asarray(centers, float)]
+    )
 
 
 def brute_moments(thetas, weights):
@@ -162,7 +169,7 @@ def test_perturb_diagonal_coordinates_uncorrelated():
 
 def test_kernel_logdensity_standard_normal_values():
     scale = KernelScale(tau2=[1.0])
-    got = log_density_matrix(np.array([[0.0], [1.0]]), np.array([[0.0]]), scale)[:, 0]
+    got = log_kernel_matrix(np.array([[0.0], [1.0]]), np.array([[0.0]]), scale)[:, 0]
     assert got[0] == pytest.approx(norm.logpdf(0.0), rel=1e-9)
     assert got[1] == pytest.approx(norm.logpdf(1.0), rel=1e-9)
 
@@ -173,19 +180,21 @@ def test_kernel_logdensity_symmetry():
     a = rng.normal(size=(100, 2))
     b = rng.normal(size=(100, 2))
     np.testing.assert_allclose(
-        log_density_matrix(a, b, scale), log_density_matrix(b, a, scale).T, rtol=1e-12
+        log_kernel_matrix(a, b, scale), log_kernel_matrix(b, a, scale).T, rtol=1e-12
     )
 
 
 def test_kernel_logdensity_dimension_mismatch():
     with pytest.raises(ValueError):
-        log_density_matrix(np.array([[0.0, 1.0]]), np.array([[0.0]]), KernelScale(tau2=[1.0]))
+        log_mixture_density(
+            np.array([[0.0, 1.0]]), np.array([[0.0]]), [1.0], KernelScale(tau2=[1.0])
+        )
 
 
 def test_kernel_density_integrates_to_one():
     scale = KernelScale(tau2=[1.7])
     total, _ = quad(
-        lambda x: math.exp(log_density_matrix([[x]], [[0.3]], scale)[0, 0]), -15.0, 15.0, limit=200
+        lambda x: math.exp(log_kernel_matrix([[x]], [[0.3]], scale)[0, 0]), -15.0, 15.0, limit=200
     )
     assert total == pytest.approx(1.0, abs=1e-6)
 
@@ -199,7 +208,7 @@ def test_perturb_density_consistency():
     for point in (-1.5, -0.75, 0.0, 0.75, 1.5):
         in_bin = np.mean(np.abs(draws - point) < width / 2)
         estimate = in_bin / width
-        expected = math.exp(log_density_matrix([[point]], [[0.0]], scale)[0, 0])
+        expected = math.exp(log_kernel_matrix([[point]], [[0.0]], scale)[0, 0])
         assert abs(estimate - expected) / expected < 0.02
 
 
@@ -250,22 +259,29 @@ def test_full_covariance_perturb_and_density():
     # density cross-checked against an independent implementation
     reference = multivariate_normal(mean=[1.0, -2.0], cov=cov)
     for point in ([1.0, -2.0], [0.0, 0.0], [2.5, -1.0]):
-        got = log_density_matrix(np.array([point]), np.array([[1.0, -2.0]]), scale)[0, 0]
+        got = log_kernel_matrix(np.array([point]), np.array([[1.0, -2.0]]), scale)[0, 0]
         assert got == pytest.approx(reference.logpdf(point), rel=1e-10)
 
 
-def test_log_density_matrix_matches_pointwise():
+def test_log_mixture_density_matches_pointwise():
     rng = np.random.default_rng(23)
     full = np.array([[1.0, 0.3], [0.3, 0.8]])
     for scale, cov in ((KernelScale(tau2=[0.5, 2.0]), np.diag([0.5, 2.0])), (KernelScale(cov=full), full)):
         xs = rng.normal(size=(7, 2))
         cs = rng.normal(size=(5, 2))
-        matrix = log_density_matrix(xs, cs, scale)
+        matrix = log_kernel_matrix(xs, cs, scale)
         for i in range(7):
             for j in range(5):
                 assert matrix[i, j] == pytest.approx(
                     multivariate_normal(mean=cs[j], cov=cov).logpdf(xs[i]), rel=1e-12
                 )
+        # several weighted centres: the log of the weighted sum of the pointwise densities
+        w = np.random.default_rng(26).dirichlet(np.ones(5))
+        mixture = [
+            math.log(sum(w[j] * multivariate_normal(mean=cs[j], cov=cov).pdf(x) for j in range(5)))
+            for x in xs
+        ]
+        np.testing.assert_allclose(log_mixture_density(xs, cs, w, scale), mixture, rtol=1e-12)
     # diagonal mode is full mode with cov = diag(tau2): same moves, same densities
     v = np.array([0.5, 2.0])
     diagonal, full = KernelScale(tau2=v), KernelScale(cov=np.diag(v))
@@ -276,5 +292,5 @@ def test_log_density_matrix_matches_pointwise():
         )
     xs, cs = rng.normal(size=(7, 2)), rng.normal(size=(5, 2))
     np.testing.assert_allclose(
-        log_density_matrix(xs, cs, diagonal), log_density_matrix(xs, cs, full), rtol=1e-12
+        log_kernel_matrix(xs, cs, diagonal), log_kernel_matrix(xs, cs, full), rtol=1e-12
     )

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from popabc import kernel
 from popabc.engine import pick_index
 from popabc.errors import BudgetExhausted
 from popabc.kernel import KernelScale, check_weight_sum
@@ -159,6 +161,124 @@ def test_pmc_weights_match_brute_force_full_kernel(seed, n, d, prior_kind):
         )
         expected = math.exp(prior.logpdf(cur[i])) / denom
         assert abs(got[i] - expected) / expected < 1e-10
+
+
+def brute_log_weights(cur, prior, prev, weights, cov):
+    """Log PMC weights from the explicit inverse, summed in log space with its own max shift.
+
+    Differences are taken on the raw parameters; zero-weight ancestors are skipped.
+    """
+    d = len(cov)
+    inv = np.linalg.inv(cov)
+    log_norm = -0.5 * (d * math.log(2 * math.pi) + math.log(np.linalg.det(cov)))
+    out = []
+    for x in cur:
+        terms = [
+            math.log(w) + log_norm - 0.5 * float((x - c) @ inv @ (x - c))
+            for c, w in zip(prev, weights) if w > 0
+        ]
+        top = max(terms)
+        out.append(prior.logpdf(x) - top - math.log(sum(math.exp(t - top) for t in terms)))
+    return np.array(out)
+
+
+def test_pmc_weights_match_brute_force_far_from_origin():
+    # a weight pass that whitened raw theta before subtracting lost digits out here:
+    # it read rel 2.4e-10 off at offset 1e5 / sd 1e-2
+    rng = np.random.default_rng(8)
+    for offset in (1e3, 1e4, 1e5, 1e6):
+        for sd in (1e-2, 0.1, 1.0):
+            n = 20
+            d = 1 if sd < 1.0 else 2
+            prev = offset + rng.normal(0, sd, size=(n, d))
+            cur = offset + rng.normal(0, sd, size=(n, d))
+            weights = rng.dirichlet(np.ones(n))
+            tau2 = sd * sd * rng.uniform(0.5, 4.0, size=d)
+            prior = UniformBoxPrior([offset - 10.0] * d, [offset + 10.0] * d)
+            got = np.exp(pmc_log_weights(cur, prior, prev, weights, KernelScale(tau2=tau2)))
+            for i in range(n):
+                denom = 0.0
+                for j in range(n):
+                    quad_form = 0.0
+                    log_norm = 0.0
+                    for k in range(d):
+                        diff = cur[i][k] - prev[j][k]
+                        quad_form += diff * diff / tau2[k]
+                        log_norm += math.log(2 * math.pi * tau2[k])
+                    denom += weights[j] * math.exp(-0.5 * (quad_form + log_norm))
+                expected = math.exp(prior.logpdf(cur[i])) / denom
+                assert abs(got[i] - expected) / expected < 1e-10, (offset, sd)
+
+
+@pytest.mark.parametrize("mode", ["diagonal", "full"])
+@pytest.mark.parametrize("d", [1, 2])
+def test_pmc_weights_far_particle_and_zero_weights(mode, d):
+    rng = np.random.default_rng(9)
+    n = 30
+    if mode == "diagonal":
+        cov = np.diag(rng.uniform(0.5, 2.0, size=d))
+        scale = KernelScale(tau2=np.diag(cov))
+    else:
+        root = rng.normal(size=(d, d))
+        cov = root @ root.T + 0.2 * np.eye(d)
+        scale = KernelScale(cov=cov)
+    # two clusters 120 kernel SDs apart along the widest axis, and a new particle
+    # midway: 60 SDs from every centre, so each kernel term underflows to 0 in
+    # double precision and only a shifted sum keeps the weight finite
+    gap = 60.0 * math.sqrt(np.linalg.eigvalsh(cov).max())
+    side = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    prev = side[:, None] * gap * np.eye(d)[0] + rng.normal(0, 1, size=(n, d))
+    cur = prev + rng.normal(0, 1, size=(n, d))
+    cur[0] = 0.0
+    weights = rng.dirichlet(np.ones(n))
+    weights[::3] = 0.0
+    weights /= weights.sum()
+    prev[3] = cur[0]  # a zero-weight ancestor right on the far particle
+    prior = UniformBoxPrior([-1e3] * d, [1e3] * d)
+    log_w = pmc_log_weights(cur, prior, prev, weights, scale)
+    assert np.all(np.isfinite(log_w))
+    assert np.all(np.abs(log_w - brute_log_weights(cur, prior, prev, weights, cov)) < 1e-10)
+    # zero-weight ancestors contribute nothing: dropping them changes no weight
+    kept = weights > 0
+    dropped = pmc_log_weights(cur, prior, prev[kept], weights[kept], scale)
+    assert np.all(np.abs(dropped - log_w) < 1e-10)
+
+
+def test_pmc_weights_independent_of_block_budget(monkeypatch):
+    rng = np.random.default_rng(10)
+    n, d = 37, 2
+    prev = rng.normal(0, 2, size=(n, d))
+    cur = rng.normal(0, 2, size=(n, d))
+    weights = rng.dirichlet(np.ones(n))
+    cov = np.array([[1.5, -0.6], [-0.6, 0.9]])
+    prior = IndependentNormalPrior([0.0] * d, [3.0] * d)
+    one_block = pmc_log_weights(cur, prior, prev, weights, KernelScale(cov=cov))
+    brute = brute_log_weights(cur, prior, prev, weights, cov)
+    assert np.all(np.abs(one_block - brute) < 1e-10)
+    for budget in (3 * n, 5 * n - 1, 1):  # blocks of 3 rows, 4 rows, and 1 row
+        monkeypatch.setattr(kernel, "BUDGET", budget)
+        blocked = pmc_log_weights(cur, prior, prev, weights, KernelScale(cov=cov))
+        np.testing.assert_allclose(blocked, one_block, rtol=1e-13)
+        assert np.all(np.abs(blocked - brute) < 1e-10)
+
+
+def test_pmc_weights_peak_memory_follows_budget():
+    # one (rows, N) block of BUDGET float64 entries is the pass's only large array, so
+    # two blocks' worth bounds it; a fixed 512-row block and logsumexp traced 292 MB
+    rng = np.random.default_rng(11)
+    n = 10_000
+    prev = rng.normal(size=(n, 1))
+    cur = rng.normal(size=(n, 1))
+    weights = rng.dirichlet(np.ones(n))
+    prior = UniformBoxPrior([-50.0], [50.0])
+    tracemalloc.start()
+    try:
+        log_w = pmc_log_weights(cur, prior, prev, weights, KernelScale(tau2=[0.5]))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(log_w))
+    assert peak < 2 * kernel.BUDGET * 8, peak
 
 
 def test_prc_weight_normal_prior_ratio():
