@@ -15,7 +15,8 @@ from .diagnostics import (
     ks_two_sample,
     weighted_quantile,
 )
-from .errors import BudgetExhausted, ConfigError, DegeneratePopulation, Stalled
+from .engine import Population
+from .errors import BudgetExhausted, ConfigError, DegeneratePopulation, RunFailed, Stalled
 from .kernel import KernelScale, adapt_scale, perturb, weighted_moments
 from .models import (
     IndependentNormalPrior,
@@ -25,7 +26,6 @@ from .models import (
 )
 from .samplers import (
     MCMCResult,
-    Population,
     ToleranceSchedule,
     abc_mcmc,
     abc_pmc,
@@ -48,6 +48,7 @@ __all__ = [
     "OracleComparison",
     "Population",
     "PosteriorOracle",
+    "RunFailed",
     "Stalled",
     "ToleranceSchedule",
     "UniformBoxPrior",

@@ -7,9 +7,9 @@ Subcommands:
 
 A compare replicate is one run. Runs print one progress line per generation
 to stderr; compare's totals count every simulator call, a failed replicate's
-included. Exit codes: 0 success, 2 configuration/validation error, 3 budget
-exhausted, stalled or degenerate population (partial outputs are kept and
-flagged in the report).
+included. Exit codes: 0 success, 2 configuration/validation error, 3 any
+``errors.RunFailed``, such as an exhausted budget (partial outputs are kept
+and the failure's status is recorded in the report).
 """
 from __future__ import annotations
 
@@ -32,49 +32,14 @@ from .config import (
     parse_run_config,
 )
 from .diagnostics import compare_to_oracle, generation_stats
-from .errors import BudgetExhausted, ConfigError, DegeneratePopulation, Stalled
-from .samplers import Population, abc_mcmc, abc_pmc, abc_prc, abc_rejection
-
-
-def _get_model(name: str):
-    try:
-        return benchmarks.get_model(name)
-    except KeyError as exc:
-        raise ConfigError(str(exc.args[0])) from None
-
-
-def _mcmc_population(cfg: RunConfig, model, seed: int) -> tuple[Population, dict]:
-    result = abc_mcmc(
-        model,
-        cfg.epsilon,
-        cfg.n_iter,
-        cfg.proposal_sd,
-        seed=seed,
-        budget=cfg.budget,
-    )
-    kept = result.thetas[cfg.burn_in :]
-    dists = result.dists[cfg.burn_in :]
-    n = kept.shape[0]
-    pop = Population(
-        t=1,
-        epsilon=cfg.epsilon,
-        thetas=kept,
-        weights=np.full(n, 1.0 / n),
-        dists=dists,
-        scale=None,
-        sims_used=result.sims_used,
-    )
-    extra = {
-        "n_iter": result.n_iter,
-        "burn_in": cfg.burn_in,
-        "acceptance_rate": result.acceptance_rate,
-        "init_sims": result.init_sims,
-    }
-    return pop, extra
+from .engine import Population
+from .errors import ConfigError, RunFailed
+from .samplers import abc_mcmc, abc_pmc, abc_prc, abc_rejection
 
 
 def _dispatch(cfg: RunConfig, model, seed: int, on_generation):
-    """Run the configured algorithm, streaming populations to the callback."""
+    """Run the configured algorithm, streaming populations to the callback; returns
+    the report's mcmc block, None for the population samplers."""
     if cfg.algorithm == "rejection":
         on_generation(
             abc_rejection(
@@ -84,9 +49,23 @@ def _dispatch(cfg: RunConfig, model, seed: int, on_generation):
         )
         return None
     if cfg.algorithm == "mcmc":
-        pop, extra = _mcmc_population(cfg, model, seed)
-        on_generation(pop)
-        return extra
+        result = abc_mcmc(
+            model, cfg.epsilon, cfg.n_iter, cfg.proposal_sd, seed=seed, budget=cfg.budget
+        )
+        n = result.n_iter - cfg.burn_in
+        on_generation(
+            Population(
+                t=1, epsilon=cfg.epsilon, thetas=result.thetas[cfg.burn_in :],
+                weights=np.full(n, 1.0 / n), dists=result.dists[cfg.burn_in :],
+                scale=None, sims_used=result.sims_used,
+            )
+        )
+        return {
+            "n_iter": result.n_iter,
+            "burn_in": cfg.burn_in,
+            "acceptance_rate": result.acceptance_rate,
+            "init_sims": result.init_sims,
+        }
     sampler = abc_pmc if cfg.algorithm == "pmc" else abc_prc
     sampler(
         model, cfg.schedule, cfg.n_particles,
@@ -97,9 +76,9 @@ def _dispatch(cfg: RunConfig, model, seed: int, on_generation):
 
 
 def execute_run(cfg: RunConfig, seed: int | None = None, persist_to: Path | None = None):
-    """Run one configured sampler; returns (exit_code, report, populations). A budget,
-    stall or degenerate-population failure is recorded in the report instead of raised."""
-    model = _get_model(cfg.model)
+    """Run one configured sampler; returns (exit_code, report, populations). A
+    ``RunFailed`` is recorded in the report instead of raised."""
+    model = benchmarks.get_model(cfg.model)
     seed = cfg.seed if seed is None else seed
     out_dir = persist_to
     if out_dir is None and cfg.out_dir is not None:
@@ -127,12 +106,8 @@ def execute_run(cfg: RunConfig, seed: int | None = None, persist_to: Path | None
     started = time.perf_counter()
     try:
         mcmc_extra = _dispatch(cfg, model, seed, on_generation)
-    except BudgetExhausted as exc:
-        partial = {"requested": exc.requested, "accepted": exc.accepted, "sims_used": exc.sims_used}
-        status = "stalled" if isinstance(exc, Stalled) else "budget-exhausted"
-        outcome.update(status=status, error=str(exc), partial=partial)
-    except DegeneratePopulation as exc:
-        outcome.update(status="degenerate-population", error=str(exc))
+    except RunFailed as exc:
+        outcome.update(status=exc.status, error=str(exc), partial=exc.partial)
     wall = time.perf_counter() - started
 
     oracle = benchmarks.get_oracle(cfg.model)
@@ -168,11 +143,6 @@ def execute_compare(cfg: CompareConfig):
     """Replicated head-to-head comparison against the model's oracle. Each replicate
     is one unpersisted ``execute_run``; the first that fails stops the comparison
     and lends it its status, error and partial, and the totals count its calls."""
-    if benchmarks.get_oracle(cfg.model) is None:
-        raise ConfigError(
-            f"compare needs a model with an analytic reference posterior; "
-            f"{cfg.model!r} has none"
-        )
     started = time.perf_counter()
     algorithms = {}
     sims_used = 0

@@ -15,6 +15,7 @@ from typing import Callable, NamedTuple
 
 import yaml
 
+from . import benchmarks
 from .errors import ConfigError
 from .samplers import ToleranceSchedule
 
@@ -81,6 +82,12 @@ def _is_positive(value) -> bool:
     return _is_number(value) and value > 0
 
 
+def _known_model(name) -> str:
+    if name not in benchmarks.model_names():
+        raise ValueError(f"unknown model; available: {', '.join(benchmarks.model_names())}")
+    return name
+
+
 class _Key(NamedTuple):
     """One config key: what a valid value is and the test for it, the
     algorithms that read the key, its default when absent or null, and the
@@ -97,7 +104,8 @@ class _Key(NamedTuple):
 # ToleranceSchedule, whose ValueError names the bad entries.
 _RUN_KEYS = {
     "algorithm": _Key(f"one of {', '.join(ALGORITHMS)}", lambda v: v in ALGORITHMS, default=_REQUIRED),
-    "model": _Key("a model name", lambda v: True, default=_REQUIRED, convert=str),
+    "model": _Key("a model name", lambda v: isinstance(v, str), default=_REQUIRED,
+                  convert=_known_model),
     "seed": _Key("an unsigned 64-bit integer", _int_in(0, 2**64 - 1), default=_REQUIRED),
     "n_particles": _Key("a positive integer", _int_in(1), POPULATION_ALGORITHMS, _REQUIRED),
     "schedule": _Key(
@@ -183,6 +191,9 @@ def parse_run_config(doc: dict, context: str = "run config") -> RunConfig:
         raise ConfigError(f"{context}: {algorithm} needs n_particles >= 2")
     if algorithm == "mcmc" and values["burn_in"] >= values["n_iter"]:
         raise ConfigError(f"{context}: burn_in must be smaller than n_iter")
+    sd = values.get("proposal_sd")
+    if isinstance(sd, list) and len(sd) not in (1, dim := benchmarks.get_model(values["model"]).dim):
+        raise ConfigError(f"{context}: proposal_sd must have 1 entry or {dim}, one per dimension")
     values["kernel_mode"] = values.pop("kernel", "diagonal")
     return RunConfig(**values, raw=dict(doc))
 
@@ -192,6 +203,9 @@ def parse_compare_config(doc: dict) -> CompareConfig:
     _check_keys(doc, _COMPARE_KEYS, context)
     top = _parse_keys(doc, _COMPARE_KEYS, context)
     model = top["model"]
+    if model not in benchmarks.ORACLE_BUILDERS:
+        raise ConfigError(f"{context}: compare needs a model with an analytic reference "
+                          f"posterior; {model!r} has none")
     runs = []
     labels = set()
     for i, entry in enumerate(top["algorithms"]):

@@ -7,7 +7,7 @@ from typing import Callable
 import numpy as np
 
 from . import kernel
-from .samplers import Population
+from .engine import Population
 
 QUANTILE_LEVELS = (0.025, 0.25, 0.5, 0.75, 0.975)
 ORACLE_GRID_SIZE = 512  # points of the KS grid in compare_to_oracle

@@ -1,5 +1,8 @@
 """Deterministic parallel particle propagation.
 
+A generation comes back as an equally weighted ``Population`` that keeps
+each particle's ancestor; the samplers only replace its weights.
+
 Every simulation attempt draws from its own RNG stream, derived from
 (master seed, generation index, attempt counter) via the counter of a
 Philox generator. Attempts are dispatched in waves whose sizes depend only
@@ -132,13 +135,58 @@ class WorkerPool:
 
 
 @dataclass(frozen=True)
-class PropagationResult:
-    """Raw output of one generation: accepted draws before weighting."""
+class Population:
+    """A generation of weighted particles.
 
+    ``scale`` is the kernel scale that proposed this generation (None for
+    the first, which samples the prior directly). ``sims_used`` counts the
+    simulator calls this generation consumed. ``ancestors`` indexes each
+    particle's ancestor in the previous generation (None at t=1).
+    """
+
+    t: int
+    epsilon: float
     thetas: np.ndarray  # (n, d)
+    weights: np.ndarray  # (n,)
     dists: np.ndarray  # (n,)
-    ancestors: np.ndarray | None  # (n,) indices into the previous generation
+    scale: kernel.KernelScale | None
     sims_used: int
+    ancestors: np.ndarray | None = None  # (n,)
+
+    def __post_init__(self):
+        thetas = np.asarray(self.thetas, dtype=float)
+        if thetas.ndim == 1:
+            thetas = thetas[:, None]
+        weights = np.asarray(self.weights, dtype=float)
+        dists = np.asarray(self.dists, dtype=float)
+        n = thetas.shape[0]
+        if n < 1:
+            raise ValueError("population must contain at least one particle")
+        if weights.shape != (n,) or dists.shape != (n,):
+            raise ValueError("thetas, weights and dists must have matching lengths")
+        if not np.all(np.isfinite(thetas)) or not np.all(np.isfinite(weights)):
+            raise ValueError("particles must be finite")
+        kernel.check_weight_sum(weights)
+        if np.any(dists > self.epsilon):
+            raise ValueError("every particle distance must be within epsilon")
+        if self.t < 1:
+            raise ValueError("generation index starts at 1")
+        if self.ancestors is not None:
+            anc = np.asarray(self.ancestors)
+            if self.t == 1 or anc.shape != (n,) or anc.dtype.kind not in "iu" or np.any(anc < 0):
+                raise ValueError("ancestors must be n indices into the previous generation, "
+                                 "and None at t=1")
+        object.__setattr__(self, "thetas", thetas)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "dists", dists)
+
+    @property
+    def n(self) -> int:
+        return self.thetas.shape[0]
+
+    @property
+    def dim(self) -> int:
+        return self.thetas.shape[1]
 
 
 def pick_index(cum_weights, u: float) -> int:
@@ -225,7 +273,7 @@ def _collect(
     prev_thetas=None,
     prev_weights=None,
     scale=None,
-) -> PropagationResult:
+) -> Population:
     limit = math.inf if budget is None else int(budget)
     prev_cumw = None if prev_weights is None else np.cumsum(prev_weights)
     kept_thetas, kept_dists, kept_anc = [], [], []
@@ -259,7 +307,8 @@ def _collect(
     thetas = np.concatenate(kept_thetas)[:n]
     dists = np.concatenate(kept_dists)[:n]
     ancestors = np.concatenate(kept_anc)[:n] if prev_thetas is not None else None
-    return PropagationResult(thetas, dists, ancestors, attempted)
+    return Population(t, float(epsilon), thetas, np.full(n, 1.0 / n), dists, scale, attempted,
+                      ancestors)
 
 
 def initial_generation(
@@ -270,8 +319,8 @@ def initial_generation(
     seed: int,
     budget=None,
     pool: WorkerPool,
-) -> PropagationResult:
-    """First generation: accept prior draws whose distance is within epsilon."""
+) -> Population:
+    """First generation: prior draws accepted within epsilon, with equal weights."""
     return _collect(model, epsilon, 1, n, seed, budget, pool)
 
 
@@ -287,8 +336,8 @@ def propagate_generation(
     seed: int,
     budget=None,
     pool: WorkerPool,
-) -> PropagationResult:
-    """Generation t >= 2: resample, perturb, accept within epsilon.
+) -> Population:
+    """Generation t >= 2: resample, perturb, accept within epsilon; equal weights.
 
     The i-th accepted particle is the i-th successful attempt in
     attempt-counter order, independent of scheduling.

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .samplers import Population
+from .engine import Population
 
 
 def format_float(x: float) -> str:

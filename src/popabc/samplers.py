@@ -1,7 +1,9 @@
 """The four ABC algorithms: rejection, PMC, PRC and likelihood-free MCMC.
 
 All four share the model contract and, for the sequential pair, the same
-propagation engine; they differ only in how particles are weighted.
+propagation engine; they differ only in how particles are weighted: the
+engine returns each generation as a ``Population``, and PMC and PRC replace
+its equal weights.
 
 * ``abc_pmc`` treats each generation as importance sampling against the
   actual proposal — the previous weighted population convolved with the
@@ -15,63 +17,16 @@ propagation engine; they differ only in how particles are weighted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import logsumexp
 
 from . import engine, kernel
+from .engine import Population
 from .errors import BudgetExhausted, DegeneratePopulation
 from .kernel import KernelScale
 from .models import ModelSpec, PriorSpec
-
-
-@dataclass(frozen=True)
-class Population:
-    """A generation of weighted particles.
-
-    ``scale`` is the kernel scale that proposed this generation (None for
-    the first, which samples the prior directly). ``sims_used`` counts the
-    simulator calls this generation consumed.
-    """
-
-    t: int
-    epsilon: float
-    thetas: np.ndarray  # (n, d)
-    weights: np.ndarray  # (n,)
-    dists: np.ndarray  # (n,)
-    scale: KernelScale | None
-    sims_used: int
-
-    def __post_init__(self):
-        thetas = np.asarray(self.thetas, dtype=float)
-        if thetas.ndim == 1:
-            thetas = thetas[:, None]
-        weights = np.asarray(self.weights, dtype=float)
-        dists = np.asarray(self.dists, dtype=float)
-        n = thetas.shape[0]
-        if n < 1:
-            raise ValueError("population must contain at least one particle")
-        if weights.shape != (n,) or dists.shape != (n,):
-            raise ValueError("thetas, weights and dists must have matching lengths")
-        if not np.all(np.isfinite(thetas)) or not np.all(np.isfinite(weights)):
-            raise ValueError("particles must be finite")
-        kernel.check_weight_sum(weights)
-        if np.any(dists > self.epsilon):
-            raise ValueError("every particle distance must be within epsilon")
-        if self.t < 1:
-            raise ValueError("generation index starts at 1")
-        object.__setattr__(self, "thetas", thetas)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "dists", dists)
-
-    @property
-    def n(self) -> int:
-        return self.thetas.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.thetas.shape[1]
 
 
 @dataclass(frozen=True)
@@ -159,19 +114,9 @@ def abc_rejection(
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
     with engine.WorkerPool(workers, model) as pool:
-        return _rejection_generation(model, epsilon, n_particles, seed, budget, pool)
-
-
-def _rejection_generation(model, epsilon, n_particles, seed, budget, pool) -> Population:
-    """Generation 1: prior draws accepted within epsilon, with equal weights."""
-    res = engine.initial_generation(
-        model, epsilon, n_particles, seed=seed, budget=budget, pool=pool
-    )
-    weights = np.full(n_particles, 1.0 / n_particles)
-    return Population(
-        t=1, epsilon=float(epsilon), thetas=res.thetas, weights=weights,
-        dists=res.dists, scale=None, sims_used=res.sims_used,
-    )
+        return engine.initial_generation(
+            model, epsilon, n_particles, seed=seed, budget=budget, pool=pool
+        )
 
 
 def _sequential_abc(
@@ -197,7 +142,9 @@ def _sequential_abc(
         for t, eps_t in enumerate(schedule.epsilons, start=1):
             prev = populations[-1] if populations else None
             if prev is None:
-                pop = _rejection_generation(model, eps_t, n_particles, seed, remaining, pool)
+                pop = engine.initial_generation(
+                    model, eps_t, n_particles, seed=seed, budget=remaining, pool=pool
+                )
             else:
                 scale = kernel.adapt_scale(prev.thetas, prev.weights, mode=kernel_mode)
                 res = engine.propagate_generation(
@@ -210,11 +157,7 @@ def _sequential_abc(
                     )
                 else:
                     log_w = prc_log_weights(res.thetas, res.ancestors, model.prior, prev.thetas)
-                pop = Population(
-                    t=t, epsilon=eps_t, thetas=res.thetas,
-                    weights=_normalize_log_weights(log_w),
-                    dists=res.dists, scale=scale, sims_used=res.sims_used,
-                )
+                pop = replace(res, weights=_normalize_log_weights(log_w))
             populations.append(pop)
             if on_generation is not None:
                 on_generation(pop)
@@ -295,7 +238,6 @@ def abc_mcmc(
     proposal_sd,
     *,
     seed: int,
-    init: np.ndarray | None = None,
     budget: int | None = None,
 ) -> MCMCResult:
     """Likelihood-free Metropolis-Hastings at a fixed tolerance.
@@ -303,42 +245,26 @@ def abc_mcmc(
     Gaussian random-walk proposals (symmetric, so the proposal ratio
     cancels); a move is accepted when its simulated distance is within
     epsilon and a uniform draw passes the prior ratio. Out-of-support
-    proposals are rejected without spending a simulation. When ``init`` is
-    None the chain starts from a prior draw accepted at epsilon, found by
-    rejection and counted against the budget.
+    proposals are rejected without spending a simulation. The chain starts
+    from a one-particle ``abc_rejection`` draw, counted against the budget.
     """
     if n_iter < 1:
         raise ValueError("n_iter must be >= 1")
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
     proposal_sd = np.broadcast_to(
         np.asarray(proposal_sd, dtype=float), (model.dim,)
     ).copy()
     if not np.all(proposal_sd > 0):
         raise ValueError("proposal_sd must be positive")
-    init_sims = 0
-    if init is None:
-        with engine.WorkerPool(1, model) as pool:
-            found = engine.initial_generation(
-                model, epsilon, 1, seed=seed, budget=budget, pool=pool
-            )
-        theta = found.thetas[0]
-        cur_dist = float(found.dists[0])
-        init_sims = found.sims_used
-    else:
-        theta = np.atleast_1d(np.asarray(init, dtype=float))
-        rng0 = engine.attempt_stream(seed, engine.CHAIN_STREAM_T, 1)
-        cur_dist = model.simulate_distance(theta, rng0)
-        init_sims = 1
-        if cur_dist > epsilon:
-            raise ValueError("init must satisfy the tolerance")
+    found = abc_rejection(model, epsilon, 1, seed=seed, budget=budget)
+    theta = found.thetas[0]
+    cur_dist = float(found.dists[0])
     limit = math.inf if budget is None else int(budget)
     rng = engine.attempt_stream(seed, engine.CHAIN_STREAM_T, 0)
     cur_lp = model.prior.logpdf(theta)
     d = model.dim
     thetas = np.empty((n_iter, d))
     dists = np.empty(n_iter)
-    sims = init_sims
+    sims = found.sims_used
     n_accepted = 0
     for i in range(n_iter):
         prop = theta + rng.standard_normal(d) * proposal_sd
@@ -356,4 +282,4 @@ def abc_mcmc(
                 n_accepted += 1
         thetas[i] = theta
         dists[i] = cur_dist
-    return MCMCResult(thetas, dists, n_accepted, sims, init_sims)
+    return MCMCResult(thetas, dists, n_accepted, sims, found.sims_used)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import yaml
 
-from popabc import benchmarks, persist
+from popabc import benchmarks, kernel, persist
 from popabc.benchmarks import get_model, mixture
 from popabc.cli import execute_compare, execute_run, main
 from popabc.config import load_run_config, parse_compare_config, parse_run_config
@@ -68,6 +68,48 @@ def test_validate_unknown_key(tmp_path, capsys):
 
 def test_validate_missing_file():
     assert main(["validate", "--config", "/nonexistent/cfg.yaml"]) == 2
+
+
+def test_validate_rejects_unknown_model(tmp_path, capsys):
+    path = write_config(tmp_path, pmc_doc(model="no-such-model"))
+    assert main(["validate", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert "no-such-model" in err and "unknown model" in err
+
+
+def test_validate_rejects_compare_on_model_without_oracle(tmp_path, capsys):
+    doc = {"model": "coalescent-msat", "seed": 1, "replicates": 1,
+           "algorithms": [{"algorithm": "rejection", "n_particles": 10, "epsilon": 3.0}]}
+    assert main(["validate", "--config", write_config(tmp_path, doc)]) == 2
+    assert "reference posterior" in capsys.readouterr().err
+
+
+def test_compare_on_unknown_model_reports_it_unknown(tmp_path, capsys):
+    doc = {"model": "no-such-model", "seed": 1, "replicates": 1,
+           "algorithms": [{"algorithm": "rejection", "n_particles": 10, "epsilon": 3.0}]}
+    assert main(["compare", "--config", write_config(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert "unknown model" in err and "no-such-model" in err
+    assert "reference posterior" not in err
+
+
+def test_mcmc_proposal_sd_of_wrong_length_is_a_config_error(tmp_path, capsys, monkeypatch):
+    doc = {"algorithm": "mcmc", "model": "mixture-toy", "seed": 1, "epsilon": 0.5,
+           "n_iter": 100, "proposal_sd": [1.0, 2.0], "out_dir": str(tmp_path / "out")}
+    path = write_config(tmp_path, doc)
+    for command in ("validate", "run"):
+        assert main([command, "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert "proposal_sd must have 1 entry or 1" in err, err
+    assert not (tmp_path / "out").exists()
+    # a 2-d model takes one entry or two
+    plane = ModelSpec(name="plane", prior=UniformBoxPrior([0.0, 0.0], [1.0, 1.0]),
+                      simulator=lambda theta, rng: theta, observed=[0.5, 0.5])
+    monkeypatch.setitem(benchmarks.MODEL_BUILDERS, "plane", lambda: plane)
+    for sd in ([1.5], [1.5, 0.5]):
+        assert parse_run_config(dict(doc, model="plane", proposal_sd=sd)).proposal_sd == sd
+    with pytest.raises(ConfigError, match="proposal_sd must have 1 entry or 2"):
+        parse_run_config(dict(doc, model="plane", proposal_sd=[1.0, 1.0, 1.0]))
 
 
 def test_parse_rejects_bad_seed():
@@ -202,6 +244,22 @@ def test_budget_exhausted_report_counts_failed_generation():
     assert partial["requested"] == 500 and partial["accepted"] < 500
     assert completed + partial["sims_used"] == 5000
     assert report["totals"]["sims_used"] == 5000
+
+
+def test_degenerate_population_is_a_failed_run_with_no_partial(tmp_path, monkeypatch):
+    # a variance floor above any weighted variance makes adapt_scale raise at t=2
+    monkeypatch.setattr(kernel, "VARIANCE_FLOOR", 1e6)
+    out_dir = tmp_path / "out"
+    cfg = parse_run_config(pmc_doc(seed=3, n_particles=200, schedule=[2.0, 0.5]))
+    code, report, populations = execute_run(cfg, persist_to=out_dir)
+    assert code == 3
+    assert (report["status"], report["partial"]) == ("degenerate-population", None)
+    assert report["error"]
+    assert (out_dir / "gen_001.csv").exists()
+    assert not (out_dir / "gen_002.csv").exists()
+    assert [g["t"] for g in report["generations"]] == [1] and len(populations) == 1
+    assert report["totals"]["sims_used"] == report["generations"][0]["sims_used"] == 1177
+    assert persist.read_report(out_dir / "report.json")["status"] == "degenerate-population"
 
 
 def test_run_unknown_model(tmp_path, capsys):

@@ -68,9 +68,7 @@ def test_accept_everything_costs_exactly_n():
 def test_unreachable_tolerance_exhausts_budget():
     with pytest.raises(BudgetExhausted) as exc:
         abc_rejection(passthrough_model(), 0.0, 10, seed=1, budget=50)
-    assert exc.value.requested == 10
-    assert exc.value.accepted == 0
-    assert exc.value.sims_used == 50
+    assert exc.value.partial == {"requested": 10, "accepted": 0, "sims_used": 50}
 
 
 def test_sims_used_equals_simulator_invocations():
@@ -167,8 +165,8 @@ def test_budget_counts_partial_progress():
     model = passthrough_model()
     with pytest.raises(BudgetExhausted) as exc:
         abc_rejection(model, 0.01, 200, seed=2, budget=300)
-    assert 0 <= exc.value.accepted < 200
-    assert exc.value.sims_used == 300
+    assert 0 <= exc.value.partial["accepted"] < 200
+    assert exc.value.partial["sims_used"] == 300
 
 
 def test_nan_summaries_fail_on_first_call():
@@ -228,10 +226,10 @@ def test_stall_guard_raises_when_nothing_is_ever_accepted(monkeypatch):
     with pytest.raises(Stalled, match="no attempt was accepted") as exc:
         abc_rejection(model, 1.0, 10, seed=1)
     assert "budget" not in str(exc.value)
-    assert (exc.value.requested, exc.value.accepted) == (10, 0)
+    assert (exc.value.partial["requested"], exc.value.partial["accepted"]) == (10, 0)
     # waves of 10, 10 * 10, 10 * 110, 10 * 1210 and the cap of 20000
     sims = 10 + 100 + 1100 + 12_100 + 20_000
-    assert exc.value.sims_used == sims
+    assert exc.value.partial["sims_used"] == sims
     # a run with no budget reports the stall as a stall, with the same partial counts
     monkeypatch.setitem(benchmarks.MODEL_BUILDERS, "mixture-toy", lambda: model)
     cfg = parse_run_config({"algorithm": "rejection", "model": "mixture-toy", "seed": 1,

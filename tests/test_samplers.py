@@ -312,6 +312,17 @@ def test_population_invariants_enforced():
         )
 
 
+def test_population_ancestors_checked():
+    base = dict(t=2, epsilon=1.0, thetas=np.array([[0.0], [1.0]]), weights=np.array([0.5, 0.5]),
+                dists=np.array([0.1, 0.2]), scale=None, sims_used=2)
+    assert np.array_equal(Population(**base, ancestors=np.array([1, 1])).ancestors, [1, 1])
+    for ancestors in (np.array([0]), np.array([0, 1, 1]), np.array([0.0, 1.0]), np.array([0, -1])):
+        with pytest.raises(ValueError, match="ancestors"):
+            Population(**base, ancestors=ancestors)
+    with pytest.raises(ValueError, match="ancestors"):
+        Population(**dict(base, t=1), ancestors=np.array([0, 1]))
+
+
 # ---------------------------------------------------------------- rejection
 
 
@@ -389,12 +400,32 @@ def test_prc_uniform_prior_weights_exactly_equal():
 
 def test_prc_propagation_matches_pmc_before_weighting():
     # same seed, same first two generations of proposals: generation 2 particle
-    # positions agree because gen-1 weights are uniform for both samplers
+    # positions and ancestors agree because gen-1 weights are uniform for both samplers
     model = get_model("mixture-toy")
     pmc_pops = abc_pmc(model, (2.0, 0.8), 120, seed=31)
     prc_pops = abc_prc(model, (2.0, 0.8), 120, seed=31)
     assert np.array_equal(pmc_pops[1].thetas, prc_pops[1].thetas)
+    assert np.array_equal(pmc_pops[1].ancestors, prc_pops[1].ancestors)
     assert not np.array_equal(pmc_pops[1].weights, prc_pops[1].weights)
+
+
+def test_sequential_populations_record_their_ancestors():
+    pops = abc_pmc(get_model("mixture-toy"), (2.0, 0.8, 0.4), 120, seed=31)
+    assert pops[0].ancestors is None
+    for prev, pop in zip(pops, pops[1:]):
+        assert pop.ancestors.shape == (pop.n,) and pop.ancestors.dtype.kind == "i"
+        assert np.all((pop.ancestors >= 0) & (pop.ancestors < prev.n))
+
+
+def test_prc_weights_are_the_prior_ratio_along_the_ancestor():
+    # conjugate-normal has a N(0, 10^2) prior, so PRC weights are not uniform
+    model = get_model("conjugate-normal")
+    pops = abc_prc(model, (10.0, 3.0, 1.0), 300, seed=5)
+    for prev, pop in zip(pops, pops[1:]):
+        parent = prev.thetas[pop.ancestors, 0]
+        ratio = np.exp((parent**2 - pop.thetas[:, 0] ** 2) / (2 * 10.0**2))
+        assert np.ptp(pop.weights) > 0
+        np.testing.assert_allclose(pop.weights, ratio / ratio.sum(), rtol=1e-12, atol=0)
 
 
 def test_sequential_requires_two_particles():
@@ -417,14 +448,14 @@ def test_budget_exhaustion_streams_completed_generations():
 def test_mcmc_flat_prior_inside_support_always_accepts():
     # constant simulator keeps distance at zero; tiny proposals stay inside
     model = constant_model()
-    result = abc_mcmc(model, 0.5, 500, 1e-4, seed=4, init=np.array([0.5]))
+    result = abc_mcmc(model, 0.5, 500, 1e-4, seed=4)
     assert result.n_accepted == 500
     assert result.acceptance_rate == 1.0
 
 
 def test_mcmc_out_of_support_proposals_rejected():
     model = constant_model()
-    result = abc_mcmc(model, 0.5, 2000, 10.0, seed=5, init=np.array([0.5]))
+    result = abc_mcmc(model, 0.5, 2000, 10.0, seed=5)
     # huge proposals frequently leave [0, 1]; those moves must be rejected
     assert result.n_accepted < 2000
     assert np.all((result.thetas >= 0.0) & (result.thetas <= 1.0))
@@ -432,20 +463,9 @@ def test_mcmc_out_of_support_proposals_rejected():
 
 def test_mcmc_rejected_step_repeats_state():
     model = constant_model()
-    result = abc_mcmc(model, 0.5, 400, 10.0, seed=6, init=np.array([0.5]))
+    result = abc_mcmc(model, 0.5, 400, 10.0, seed=6)
     changed = np.count_nonzero(np.diff(result.thetas[:, 0]))
     assert changed == result.n_accepted or changed == result.n_accepted - 1
-
-
-def test_mcmc_init_must_satisfy_tolerance():
-    model = ModelSpec(
-        name="far",
-        prior=UniformBoxPrior([0.0], [1.0]),
-        simulator=lambda theta, rng: np.array([100.0]),
-        observed=[0.0],
-    )
-    with pytest.raises(ValueError, match="tolerance"):
-        abc_mcmc(model, 0.5, 10, 0.1, seed=0, init=np.array([0.5]))
 
 
 def test_mcmc_finds_init_and_counts_sims():
