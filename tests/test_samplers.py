@@ -5,15 +5,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
-from popabc import kernel
+from popabc import engine, kernel
 from popabc.engine import pick_index
-from popabc.errors import BudgetExhausted
+from popabc.errors import BudgetExhausted, DegeneratePopulation
 from popabc.kernel import KernelScale, check_weight_sum
 from popabc.models import IndependentNormalPrior, ModelSpec, UniformBoxPrior
 from popabc.samplers import (
     Population,
     ToleranceSchedule,
+    _normalize_log_weights,
     abc_mcmc,
     abc_pmc,
     abc_prc,
@@ -337,6 +339,18 @@ def test_rejection_rejects_empty_request():
         abc_rejection(constant_model(), 1.0, 0, seed=0)
 
 
+@pytest.mark.parametrize("epsilon", [float("nan"), -0.5])
+def test_rejection_and_mcmc_reject_bad_epsilon(monkeypatch, epsilon):
+    # no distance is <= nan, so an unchecked NaN would spend simulations until the
+    # stall guard stops it; a low guard keeps that failure fast
+    monkeypatch.setattr(engine, "STALL_WAVES", 3)
+    model = get_model("mixture-toy")
+    with pytest.raises(ValueError, match="epsilon must be nonnegative"):
+        abc_rejection(model, epsilon, 10, seed=1)
+    with pytest.raises(ValueError, match="epsilon must be nonnegative"):
+        abc_mcmc(model, epsilon, 10, 1.0, seed=1)
+
+
 def test_rejection_mixture_variance():
     # analytic posterior variance 0.505; tolerance-smoothing at eps=0.1 is small
     pop = abc_rejection(get_model("mixture-toy"), 0.10, 5000, seed=42)
@@ -344,6 +358,23 @@ def test_rejection_mixture_variance():
 
 
 # ---------------------------------------------------------------- pmc / prc
+
+
+@pytest.mark.parametrize("offset", [-800.0, 0.0, 800.0])
+def test_normalize_log_weights_matches_logsumexp(offset):
+    # exp(+-800) overflows or underflows on its own; the shift keeps every weight.
+    # Every entry plus the offset is exact, so the weights are the offset-free ones.
+    base = np.array([0.0, -1.0, -2.5, -np.inf, -30.0, 3.0])
+    got = _normalize_log_weights(base + offset)
+    want = np.exp(base - logsumexp(base))
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+    assert got[3] == 0.0
+    check_weight_sum(got)
+
+
+def test_normalize_log_weights_all_vanished_is_degenerate():
+    with pytest.raises(DegeneratePopulation, match="vanished"):
+        _normalize_log_weights(np.full(4, -np.inf))
 
 
 def test_pmc_single_generation_equals_rejection():
