@@ -70,7 +70,7 @@ def _dispatch(cfg: RunConfig, model, seed: int, on_generation):
     sampler(
         model, cfg.schedule, cfg.n_particles,
         seed=seed, budget=cfg.budget, workers=cfg.workers,
-        kernel_mode=cfg.kernel_mode, on_generation=on_generation,
+        on_generation=on_generation,
     )
     return None
 
@@ -266,7 +266,7 @@ def main(argv=None) -> int:
             parse_run_config(doc, context=str(args.config))
         print("config ok")
         return 0
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -4,7 +4,10 @@ The config dialect is YAML (a single key-value tree per file). Required
 keys for every run: ``algorithm``, ``model``, ``seed``, plus the
 algorithm's own parameters (``n_particles`` and ``schedule`` for the
 sequential samplers, ``epsilon`` for rejection, ``epsilon``/``n_iter``/
-``proposal_sd`` for MCMC).
+``proposal_sd`` for MCMC). Each value has one spelling: ``proposal_sd``
+is one finite positive number, and the sequential samplers' kernel has no
+setting, since it is always twice the weighted variance per dimension.
+A compare config sets ``seed`` and ``out_dir`` at its top level only.
 """
 from __future__ import annotations
 
@@ -37,10 +40,9 @@ class RunConfig:
     workers: int | str = 1
     budget: int | None = None
     out_dir: str | None = None
-    kernel_mode: str = "diagonal"
     n_iter: int | None = None
     burn_in: int = 0
-    proposal_sd: float | list[float] | None = None
+    proposal_sd: float | None = None
     name: str | None = None
     raw: dict = field(default_factory=dict, compare=False)
 
@@ -78,10 +80,6 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _is_positive(value) -> bool:
-    return _is_number(value) and value > 0
-
-
 def _known_model(name) -> str:
     if name not in benchmarks.model_names():
         raise ValueError(f"unknown model; available: {', '.join(benchmarks.model_names())}")
@@ -117,19 +115,9 @@ _RUN_KEYS = {
         "a nonnegative number", lambda v: _is_number(v) and v >= 0,
         ("rejection", "mcmc"), _REQUIRED, float,
     ),
-    "kernel": _Key(
-        "a mapping whose only key 'mode' is 'diagonal' or 'full'",
-        lambda v: isinstance(v, dict) and v.get("mode", "diagonal") in ("diagonal", "full")
-        and set(v) <= {"mode"},
-        SEQUENTIAL_ALGORITHMS, "diagonal", lambda v: v.get("mode", "diagonal"),
-    ),
     "n_iter": _Key("a positive integer", _int_in(1), ("mcmc",), _REQUIRED),
-    "proposal_sd": _Key(
-        "positive (scalar or list)",
-        lambda v: _is_positive(v) or (isinstance(v, list) and v and all(map(_is_positive, v))),
-        ("mcmc",), _REQUIRED,
-        lambda v: [float(x) for x in v] if isinstance(v, list) else float(v),
-    ),
+    "proposal_sd": _Key("a finite positive number", lambda v: _is_number(v) and 0 < v < math.inf,
+                        ("mcmc",), _REQUIRED, float),
     "burn_in": _Key("a nonnegative integer", _int_in(0), ("mcmc",), 0),
     "budget": _Key("a positive integer", _int_in(1)),
     "workers": _Key("a positive integer or 'auto'", lambda v: v == "auto" or _int_in(1)(v),
@@ -191,10 +179,6 @@ def parse_run_config(doc: dict, context: str = "run config") -> RunConfig:
         raise ConfigError(f"{context}: {algorithm} needs n_particles >= 2")
     if algorithm == "mcmc" and values["burn_in"] >= values["n_iter"]:
         raise ConfigError(f"{context}: burn_in must be smaller than n_iter")
-    sd = values.get("proposal_sd")
-    if isinstance(sd, list) and len(sd) not in (1, dim := benchmarks.get_model(values["model"]).dim):
-        raise ConfigError(f"{context}: proposal_sd must have 1 entry or {dim}, one per dimension")
-    values["kernel_mode"] = values.pop("kernel", "diagonal")
     return RunConfig(**values, raw=dict(doc))
 
 
@@ -211,6 +195,10 @@ def parse_compare_config(doc: dict) -> CompareConfig:
     for i, entry in enumerate(top["algorithms"]):
         if not isinstance(entry, dict):
             raise ConfigError(f"{context}: algorithms[{i}] must be a mapping")
+        for key in ("seed", "out_dir"):
+            if key in entry:
+                raise ConfigError(f"{context}: algorithms[{i}]: {key} does not apply per "
+                                  "algorithm; set it at the top level")
         entry = dict(entry)
         for key in ("model", "seed", "workers", "budget"):
             if doc.get(key) is not None and entry.get("algorithm") in _RUN_KEYS[key].algorithms:

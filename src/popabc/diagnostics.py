@@ -106,18 +106,16 @@ def generation_stats(pop: Population) -> dict:
     Keys: ``t``, ``epsilon``, ``ess``, ``acceptance_rate``, ``sims_used``,
     ``weighted_mean``, ``weighted_var``, ``quantiles`` (one list per level in
     QUANTILE_LEVELS, keyed by the level as a string) and ``scale``, the kernel
-    that proposed the population: None for the first generation,
-    ``{"mode": "diagonal", "tau2": [...]}`` or ``{"mode": "full", "cov": [[...]]}``.
+    that proposed the population: None for the first generation, else
+    ``{"mode": "diagonal", "tau2": [...]}``.
     """
     mean, var = kernel.weighted_moments(pop.thetas, pop.weights)
     per_dim = [_quantiles(pop.thetas[:, k], pop.weights, QUANTILE_LEVELS) for k in range(pop.dim)]
     quantiles = {str(q): [col[i] for col in per_dim] for i, q in enumerate(QUANTILE_LEVELS)}
     if pop.scale is None:
         scale = None
-    elif pop.scale.mode == "diagonal":
-        scale = {"mode": "diagonal", "tau2": [float(v) for v in pop.scale.tau2]}
     else:
-        scale = {"mode": "full", "cov": [[float(v) for v in row] for row in pop.scale.cov]}
+        scale = {"mode": "diagonal", "tau2": [float(v) for v in pop.scale.tau2]}
     return {
         "t": pop.t,
         "epsilon": pop.epsilon,

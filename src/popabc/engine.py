@@ -84,8 +84,8 @@ class StreamFactory:
 
 
 def resolve_workers(requested) -> int:
-    """Worker count: a positive integer, or 'auto' (or None) for one per CPU."""
-    if requested is None or requested == "auto":
+    """Worker count: a positive integer, or 'auto' for one per CPU."""
+    if requested == "auto":
         return os.cpu_count() or 1
     if not isinstance(requested, int) or isinstance(requested, bool) or requested < 1:
         raise ConfigError(f"workers must be a positive integer or 'auto', got {requested!r}")
@@ -101,7 +101,7 @@ class WorkerPool:
     order, so the pool size never changes what a run produces.
     """
 
-    def __init__(self, workers: int | str | None, model: ModelSpec):
+    def __init__(self, workers: int | str, model: ModelSpec):
         self.workers = resolve_workers(workers)
         if self.workers > 1:
             # worker processes receive the model by pickle: fail before any starts

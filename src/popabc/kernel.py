@@ -1,9 +1,9 @@
 """Gaussian perturbation kernel with population-driven scale adaptation.
 
 The kernel variance is set to twice the weighted empirical variance of the
-current weighted population (componentwise by default, full covariance as
-an opt-in). Perturbation and density evaluation share one KernelScale so
-the proposal and the importance-weight denominator always agree.
+current weighted population, componentwise. Perturbation and density
+evaluation share one KernelScale so the proposal and the importance-weight
+denominator always agree.
 
 That denominator, ``log_mixture_density``, is exact and O(N^2). Points and
 centres are centred on the centres' weighted mean (so no digits are lost far
@@ -30,51 +30,29 @@ BUDGET = 1 << 20  # float64 entries in the one (rows, N) block of log_mixture_de
 
 @dataclass(frozen=True)
 class KernelScale:
-    """Perturbation variance: per-dimension ``tau2`` or a full covariance.
+    """Per-dimension perturbation variance ``tau2``.
 
-    Exactly one of ``tau2`` (diagonal mode) and ``cov`` (full mode) is set.
-    Either way the kernel is one covariance, ``diag(tau2)`` or ``cov``, whose
-    Cholesky factor and log-normalizer are precomputed so perturbation and
-    density evaluation take one path in both modes. The factor is kept
-    transposed, the orientation the once-per-proposal ``perturb`` uses.
+    The kernel's covariance is ``diag(tau2)``; its Cholesky factor and
+    log-normalizer are precomputed so perturbation and density evaluation
+    share them. The factor is kept transposed, the orientation the
+    once-per-proposal ``perturb`` uses.
     """
 
-    tau2: np.ndarray | None = None
-    cov: np.ndarray | None = None
+    tau2: np.ndarray
     _chol_t: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     _log_norm: float = field(default=0.0, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if (self.tau2 is None) == (self.cov is None):
-            raise ValueError("set exactly one of tau2 (diagonal) or cov (full)")
-        if self.tau2 is not None:
-            tau2 = np.atleast_1d(np.asarray(self.tau2, dtype=float))
-            if tau2.ndim != 1 or not np.all(tau2 > 0):
-                raise ValueError("tau2 must be a 1-d array of positive variances")
-            object.__setattr__(self, "tau2", tau2)
-            cov = np.diag(tau2)
-        else:
-            cov = np.asarray(self.cov, dtype=float)
-            object.__setattr__(self, "cov", cov)
-        if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
-            raise ValueError("the kernel covariance must be a square matrix")
-        if not np.all(np.isfinite(cov)):  # np.linalg.cholesky would pass NaN and inf on
-            raise ValueError("the kernel covariance must be finite")
-        # relative to the entries: a weighted product of spread-out particles is
-        # symmetric only to rounding of its own size
-        if not np.all(np.abs(cov - cov.T) <= 1e-12 * max(1.0, np.abs(cov).max())):
-            raise ValueError("the kernel covariance must be symmetric")
-        try:
-            chol = np.linalg.cholesky(cov)
-        except np.linalg.LinAlgError as exc:
-            raise ValueError("the kernel covariance must be positive definite") from exc
+        tau2 = np.atleast_1d(np.asarray(self.tau2, dtype=float))
+        if tau2.ndim != 1 or not np.all(tau2 > 0):
+            raise ValueError("tau2 must be a 1-d array of positive variances")
+        if not np.all(np.isfinite(tau2)):  # np.linalg.cholesky would pass inf on
+            raise ValueError("tau2 must be finite")
+        object.__setattr__(self, "tau2", tau2)
+        chol = np.linalg.cholesky(np.diag(tau2))
         object.__setattr__(self, "_chol_t", chol.T)
         log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
         object.__setattr__(self, "_log_norm", -0.5 * (chol.shape[0] * LOG_2PI + log_det))
-
-    @property
-    def mode(self) -> str:
-        return "diagonal" if self.tau2 is not None else "full"
 
     @property
     def dim(self) -> int:
@@ -89,7 +67,12 @@ def check_weight_sum(weights: np.ndarray) -> float:
     return total
 
 
-def _validated_weights(thetas: np.ndarray, weights: np.ndarray):
+def weighted_moments(thetas: np.ndarray, weights: np.ndarray):
+    """Weighted mean and per-dimension variance of a normalized population.
+
+    Plain normalized-weight estimators: ``mean_k = sum_i w_i theta_ik`` and
+    ``var_k = sum_i w_i (theta_ik - mean_k)^2``, no small-sample correction.
+    """
     thetas = np.asarray(thetas, dtype=float)
     if thetas.ndim == 1:
         thetas = thetas[:, None]
@@ -98,56 +81,26 @@ def _validated_weights(thetas: np.ndarray, weights: np.ndarray):
         raise ValueError("weights must be 1-d and match the number of particles")
     if np.any(weights < 0):
         raise ValueError("weights must be nonnegative")
-    total = check_weight_sum(weights)
-    return thetas, weights / total
-
-
-def weighted_moments(thetas: np.ndarray, weights: np.ndarray):
-    """Weighted mean and per-dimension variance of a normalized population.
-
-    Plain normalized-weight estimators: ``mean_k = sum_i w_i theta_ik`` and
-    ``var_k = sum_i w_i (theta_ik - mean_k)^2``, no small-sample correction.
-    """
-    thetas, weights = _validated_weights(thetas, weights)
+    weights = weights / check_weight_sum(weights)
     mean = weights @ thetas
     centered = thetas - mean
     var = weights @ (centered * centered)
     return mean, var
 
 
-def weighted_covariance(thetas: np.ndarray, weights: np.ndarray):
-    """Weighted mean and full covariance matrix (same estimator as weighted_moments)."""
-    thetas, weights = _validated_weights(thetas, weights)
-    mean = weights @ thetas
-    centered = thetas - mean
-    cov = (weights[:, None] * centered).T @ centered
-    return mean, cov
-
-
-def adapt_scale(thetas: np.ndarray, weights: np.ndarray, mode: str = "diagonal") -> KernelScale:
+def adapt_scale(thetas: np.ndarray, weights: np.ndarray) -> KernelScale:
     """Kernel scale for the next generation: twice the weighted variance.
 
     Raises DegeneratePopulation when any dimension's weighted variance falls
     below the floor, which signals particle collapse rather than a usable
     spread estimate.
     """
-    if mode == "diagonal":
-        _, var = weighted_moments(thetas, weights)
-    elif mode == "full":
-        _, cov = weighted_covariance(thetas, weights)
-        var = np.diag(cov)
-    else:
-        raise ValueError(f"unknown kernel mode {mode!r}")
+    _, var = weighted_moments(thetas, weights)
     if np.any(var < VARIANCE_FLOOR):
         raise DegeneratePopulation(
             f"weighted variance below {VARIANCE_FLOOR} in at least one dimension"
         )
-    if mode == "diagonal":
-        return KernelScale(tau2=2.0 * var)
-    try:
-        return KernelScale(cov=2.0 * cov)
-    except ValueError as exc:
-        raise DegeneratePopulation("adapted covariance not positive definite") from exc
+    return KernelScale(tau2=2.0 * var)
 
 
 def perturb(

@@ -126,7 +126,6 @@ def _sequential_abc(
     seed: int,
     budget: int | None,
     workers: int | str,
-    kernel_mode: str,
     weighting: str,
     on_generation=None,
 ) -> list[Population]:
@@ -145,7 +144,7 @@ def _sequential_abc(
                     model, eps_t, n_particles, seed=seed, budget=remaining, pool=pool
                 )
             else:
-                scale = kernel.adapt_scale(prev.thetas, prev.weights, mode=kernel_mode)
+                scale = kernel.adapt_scale(prev.thetas, prev.weights)
                 res = engine.propagate_generation(
                     model, eps_t, t, prev.thetas, prev.weights, scale, n_particles,
                     seed=seed, budget=remaining, pool=pool,
@@ -173,7 +172,6 @@ def abc_pmc(
     seed: int,
     budget: int | None = None,
     workers: int | str = 1,
-    kernel_mode: str = "diagonal",
     on_generation=None,
 ) -> list[Population]:
     """Adaptive sequential ABC with mixture-proposal importance weights.
@@ -186,7 +184,7 @@ def abc_pmc(
     """
     return _sequential_abc(
         model, schedule, n_particles, seed=seed, budget=budget, workers=workers,
-        kernel_mode=kernel_mode, weighting="pmc", on_generation=on_generation,
+        weighting="pmc", on_generation=on_generation,
     )
 
 
@@ -198,7 +196,6 @@ def abc_prc(
     seed: int,
     budget: int | None = None,
     workers: int | str = 1,
-    kernel_mode: str = "diagonal",
     on_generation=None,
 ) -> list[Population]:
     """Sequential ABC with prior-ratio weights (the biased baseline).
@@ -207,7 +204,7 @@ def abc_prc(
     """
     return _sequential_abc(
         model, schedule, n_particles, seed=seed, budget=budget, workers=workers,
-        kernel_mode=kernel_mode, weighting="prc", on_generation=on_generation,
+        weighting="prc", on_generation=on_generation,
     )
 
 

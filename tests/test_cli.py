@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -70,6 +71,13 @@ def test_validate_missing_file():
     assert main(["validate", "--config", "/nonexistent/cfg.yaml"]) == 2
 
 
+@pytest.mark.parametrize("command", ["run", "compare", "validate"])
+def test_config_that_is_a_directory_is_a_config_error(tmp_path, capsys, command):
+    assert main([command, "--config", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(tmp_path) in err and "Traceback" not in err
+
+
 def test_validate_rejects_unknown_model(tmp_path, capsys):
     path = write_config(tmp_path, pmc_doc(model="no-such-model"))
     assert main(["validate", "--config", path]) == 2
@@ -100,16 +108,21 @@ def test_mcmc_proposal_sd_of_wrong_length_is_a_config_error(tmp_path, capsys, mo
     for command in ("validate", "run"):
         assert main([command, "--config", path]) == 2
         err = capsys.readouterr().err
-        assert "proposal_sd must have 1 entry or 1" in err, err
+        assert "proposal_sd must be a finite positive number" in err, err
     assert not (tmp_path / "out").exists()
-    # a 2-d model takes one entry or two
+    # proposal_sd is one number, which abc_mcmc applies to every dimension: a list
+    # is refused at any length, on a 2-d model too
     plane = ModelSpec(name="plane", prior=UniformBoxPrior([0.0, 0.0], [1.0, 1.0]),
                       simulator=lambda theta, rng: theta, observed=[0.5, 0.5])
     monkeypatch.setitem(benchmarks.MODEL_BUILDERS, "plane", lambda: plane)
-    for sd in ([1.5], [1.5, 0.5]):
-        assert parse_run_config(dict(doc, model="plane", proposal_sd=sd)).proposal_sd == sd
-    with pytest.raises(ConfigError, match="proposal_sd must have 1 entry or 2"):
-        parse_run_config(dict(doc, model="plane", proposal_sd=[1.0, 1.0, 1.0]))
+    for sd in ([1.5], [1.5, 0.5], [1.0, 1.0, 1.0]):
+        with pytest.raises(ConfigError, match="proposal_sd must be a finite positive number"):
+            parse_run_config(dict(doc, model="plane", proposal_sd=sd))
+    # an infinite SD sends every proposal out of the support: the chain never moves
+    for sd in (math.inf, 0.0, -1.0):
+        with pytest.raises(ConfigError, match="proposal_sd must be a finite positive number"):
+            parse_run_config(dict(doc, proposal_sd=sd))
+    assert parse_run_config(dict(doc, model="plane", proposal_sd=1.5)).proposal_sd == 1.5
 
 
 def test_parse_rejects_bad_seed():
@@ -126,21 +139,24 @@ def test_parse_mcmc_requires_chain_keys():
 
 
 @pytest.mark.parametrize(
-    "doc, key",
+    "doc, message",
     [
-        (pmc_doc(epsilon=0.01), "epsilon"),
+        (pmc_doc(epsilon=0.01), "epsilon does not apply to pmc"),
+        # no algorithm reads a kernel key: the kernel is always twice the weighted variance
         ({"algorithm": "rejection", "model": "mixture-toy", "seed": 1, "n_particles": 10,
-          "epsilon": 0.5, "kernel": {"mode": "full"}}, "kernel"),
+          "epsilon": 0.5, "kernel": {"mode": "full"}}, "unknown keys ['kernel']"),
         ({"algorithm": "mcmc", "model": "mixture-toy", "seed": 1, "epsilon": 0.5, "n_iter": 100,
-          "proposal_sd": 1.0, "kernel": {"mode": "full"}}, "kernel"),
+          "proposal_sd": 1.0, "kernel": {"mode": "full"}}, "unknown keys ['kernel']"),
+        (pmc_doc(kernel={"mode": "diagonal"}), "unknown keys ['kernel']"),
         ({"algorithm": "mcmc", "model": "mixture-toy", "seed": 1, "epsilon": 0.5, "n_iter": 100,
-          "proposal_sd": 1.0, "workers": 4}, "workers"),
+          "proposal_sd": 1.0, "workers": 4}, "workers does not apply to mcmc"),
     ],
-    ids=["pmc-epsilon", "rejection-kernel", "mcmc-kernel", "mcmc-workers"],
+    ids=["pmc-epsilon", "rejection-kernel", "mcmc-kernel", "pmc-kernel", "mcmc-workers"],
 )
-def test_parse_rejects_key_the_algorithm_does_not_read(doc, key):
-    with pytest.raises(ConfigError, match=f"{key} does not apply to {doc['algorithm']}"):
+def test_parse_rejects_key_the_algorithm_does_not_read(doc, message):
+    with pytest.raises(ConfigError) as info:
         parse_run_config(doc)
+    assert message in str(info.value)
 
 
 def test_parse_accepts_the_default_of_a_key_the_algorithm_does_not_read():
@@ -189,32 +205,30 @@ def test_run_pmc_happy_path(tmp_path, capsys):
     assert "total sims" in out
 
 
-def test_run_records_proposal_scales(tmp_path, monkeypatch):
-    # a 2-d model, so that a full covariance has off-diagonal entries
+def test_run_records_proposal_scales(tmp_path, monkeypatch, capsys):
+    # a 2-d model, so that the kernel has one variance per dimension
     plane = ModelSpec(name="plane", prior=UniformBoxPrior([0.0, 0.0], [1.0, 1.0]),
                       simulator=lambda theta, rng: theta + 0.1 * rng.standard_normal(2),
                       observed=[0.5, 0.5])
     monkeypatch.setitem(benchmarks.MODEL_BUILDERS, "plane", lambda: plane)
+    out_dir = tmp_path / "out"
+    doc = pmc_doc(model="plane", out_dir=str(out_dir))
+    assert main(["run", "--config", write_config(tmp_path, doc)]) == 0
+    report = persist.read_report(out_dir / "report.json")
+    assert report["generations"][0]["scale"] is None
+    scale = report["generations"][1]["scale"]
+    assert set(scale) == {"mode", "tau2"} and scale["mode"] == "diagonal"
+    # twice the weighted variance of the generation it perturbs
+    _, thetas, weights, _ = persist.read_population_csv(out_dir / "gen_001.csv")
+    var = weights @ (thetas - weights @ thetas) ** 2
+    assert np.array(scale["tau2"]) == pytest.approx(2.0 * var, rel=1e-12)
+    # the kernel has no setting: a kernel key, in either former mode, is unknown
+    capsys.readouterr()
     for mode in ("diagonal", "full"):
-        out_dir = tmp_path / mode
-        doc = pmc_doc(model="plane", kernel={"mode": mode}, out_dir=str(out_dir))
-        assert main(["run", "--config", write_config(tmp_path, doc)]) == 0
-        report = persist.read_report(out_dir / "report.json")
-        assert report["generations"][0]["scale"] is None
-        scale = report["generations"][1]["scale"]
-        if mode == "diagonal":
-            assert set(scale) == {"mode", "tau2"} and scale["mode"] == "diagonal"
-            kernel_var = np.array(scale["tau2"])
-        else:
-            assert set(scale) == {"mode", "cov"} and scale["mode"] == "full"
-            cov = np.array(scale["cov"])
-            assert cov.shape == (2, 2)
-            assert cov[0, 1] == pytest.approx(cov[1, 0], rel=1e-12)
-            kernel_var = np.diag(cov)
-        # twice the weighted variance of the generation it perturbs
-        _, thetas, weights, _ = persist.read_population_csv(out_dir / "gen_001.csv")
-        var = weights @ (thetas - weights @ thetas) ** 2
-        assert kernel_var == pytest.approx(2.0 * var, rel=1e-12)
+        doc = pmc_doc(model="plane", kernel={"mode": mode}, out_dir=str(tmp_path / mode))
+        assert main(["run", "--config", write_config(tmp_path, doc)]) == 2
+        assert "unknown keys ['kernel']" in capsys.readouterr().err
+        assert not (tmp_path / mode).exists()
 
 
 def test_run_unreachable_tolerance_flags_partial(tmp_path):
@@ -522,6 +536,17 @@ def test_parse_compare_inherits_seed_and_model():
     )
     assert cfg.algorithms[0].model == "mixture-toy"
     assert cfg.algorithms[0].seed == 5
+
+
+@pytest.mark.parametrize("key, value", [("seed", 999), ("out_dir", "elsewhere")])
+def test_parse_compare_refuses_per_algorithm_seed_and_out_dir(key, value):
+    # a replicate runs at the top-level seed plus its index and writes nothing of its
+    # own, so either key in an entry would be ignored
+    doc = {"model": "mixture-toy", "seed": 1, "replicates": 1,
+           "algorithms": [{"algorithm": "rejection", "n_particles": 10, "epsilon": 0.5,
+                           key: value}]}
+    with pytest.raises(ConfigError, match=rf"algorithms\[0\]: {key} .*set it at the top level"):
+        parse_compare_config(doc)
 
 
 def test_parse_compare_copies_workers_only_where_read():

@@ -119,7 +119,6 @@ def test_resolve_workers_integer():
 
 def test_resolve_workers_auto():
     assert engine.resolve_workers("auto") >= 1
-    assert engine.resolve_workers(None) >= 1
 
 
 def test_resolve_workers_rejects_garbage():
@@ -127,6 +126,8 @@ def test_resolve_workers_rejects_garbage():
         engine.resolve_workers("many")
     with pytest.raises(ConfigError):
         engine.resolve_workers(0)
+    with pytest.raises(ConfigError):  # 'auto' is the one spelling of one worker per CPU
+        engine.resolve_workers(None)
 
 
 def test_first_wave_matches_request_size():
@@ -271,10 +272,7 @@ def reference_chunk(model, epsilon, seed, t, lo, hi, prev_thetas, prev_cumw, sca
                 u = rng.random()
                 j = min(int(np.searchsorted(prev_cumw, u, side="right")), prev_cumw.size - 1)
                 noise = rng.standard_normal((1, model.dim))
-                if scale.mode == "diagonal":
-                    theta = (prev_thetas[j] + noise * np.sqrt(scale.tau2))[0]
-                else:
-                    theta = (prev_thetas[j] + noise @ np.linalg.cholesky(scale.cov).T)[0]
+                theta = (prev_thetas[j] + noise * np.sqrt(scale.tau2))[0]
                 if not uniform or (np.all(theta >= prior.lows) and np.all(theta <= prior.highs)):
                     break
                 redraws += 1
@@ -296,9 +294,7 @@ def noisy_box_model(prior):
 @pytest.mark.parametrize("prior", [UniformBoxPrior([0.0, 0.0], [1.0, 1.0]),
                                    IndependentNormalPrior([0.5, 0.5], [1.0, 2.0])],
                          ids=["uniform-box", "normal"])
-@pytest.mark.parametrize("scale", [KernelScale(tau2=[0.3, 0.1]),
-                                   KernelScale(cov=[[0.3, 0.1], [0.1, 0.2]])],
-                         ids=["diagonal", "full"])
+@pytest.mark.parametrize("scale", [KernelScale(tau2=[0.3, 0.1])], ids=["diagonal"])
 @pytest.mark.parametrize("t", [1, 3], ids=["generation-1", "propagation"])
 def test_attempt_chunk_equals_reference_loop(prior, scale, t):
     model = noisy_box_model(prior)

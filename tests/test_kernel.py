@@ -13,7 +13,6 @@ from popabc.kernel import (
     adapt_scale,
     log_mixture_density,
     perturb,
-    weighted_covariance,
     weighted_moments,
 )
 
@@ -64,13 +63,12 @@ def test_weighted_moments_degenerate_point_mass():
 
 def test_adapt_scale_needs_two_effective_particles():
     # one weighted particle is a valid population with variance exactly 0,
-    # which the variance floor turns into DegeneratePopulation in both modes
+    # which the variance floor turns into DegeneratePopulation
     thetas, weights = np.array([[0.0, 2.0], [1.0, 3.0]]), np.array([1.0, 0.0])
     mean, var = weighted_moments(thetas, weights)
     assert mean.tolist() == [0.0, 2.0] and var.tolist() == [0.0, 0.0]
-    for mode in ("diagonal", "full"):
-        with pytest.raises(DegeneratePopulation):
-            adapt_scale(thetas, weights, mode=mode)
+    with pytest.raises(DegeneratePopulation):
+        adapt_scale(thetas, weights)
 
 
 def test_weighted_moments_rejects_unnormalized():
@@ -80,7 +78,6 @@ def test_weighted_moments_rejects_unnormalized():
 
 def test_adapt_scale_twice_unit_variance():
     scale = adapt_scale(np.array([[-1.0], [1.0]]), np.array([0.5, 0.5]))
-    assert scale.mode == "diagonal"
     assert scale.tau2[0] == pytest.approx(2.0, rel=1e-12)
 
 
@@ -118,20 +115,17 @@ def test_adapt_scale_invariant_to_weight_rescaling(factor):
 
 
 def test_kernel_scale_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):  # tau2 is the one field, and it is required
         KernelScale()
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         KernelScale(tau2=[1.0], cov=np.eye(1))
-    with pytest.raises(ValueError):
-        KernelScale(tau2=[0.0])
-    with pytest.raises(ValueError):
-        KernelScale(cov=np.array([[1.0, 2.0], [2.0, 1.0]]))  # not PD
+    for bad in ([0.0], [1.0, -2.0], [[1.0, 2.0]]):
+        with pytest.raises(ValueError, match="tau2"):
+            KernelScale(tau2=bad)
     # np.linalg.cholesky factors NaN and inf without raising
     for bad in (np.nan, np.inf):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="tau2"):
             KernelScale(tau2=[1.0, bad])
-        with pytest.raises(ValueError):
-            KernelScale(cov=np.array([[1.0, 0.0], [0.0, bad]]))
 
 
 def test_perturb_rejects_wrong_shape():
@@ -139,7 +133,7 @@ def test_perturb_rejects_wrong_shape():
     with pytest.raises(ValueError):
         perturb(np.array([0.0, 0.0]), KernelScale(tau2=[1.0]), rng)
     with pytest.raises(ValueError):
-        perturb(np.array([[0.0, 0.0]]), KernelScale(cov=np.eye(2)), rng)
+        perturb(np.array([[0.0, 0.0]]), KernelScale(tau2=[1.0, 1.0]), rng)
     with pytest.raises(ValueError):  # a scalar is not a (1,) vector
         perturb(0.0, KernelScale(tau2=[1.0]), rng)
 
@@ -212,85 +206,21 @@ def test_perturb_density_consistency():
         assert abs(estimate - expected) / expected < 0.02
 
 
-def test_full_covariance_adaptation_matches_oracle():
-    rng = np.random.default_rng(21)
-    thetas = rng.multivariate_normal([0, 1], [[2.0, 0.8], [0.8, 1.0]], size=400)
-    weights = rng.dirichlet(np.ones(400))
-    scale = adapt_scale(thetas, weights, mode="full")
-    assert scale.mode == "full"
-    _, cov = weighted_covariance(thetas, weights)
-    n = len(thetas)
-    mean = [sum(weights[i] * thetas[i][k] for i in range(n)) for k in range(2)]
-    brute = [
-        [
-            sum(weights[i] * (thetas[i][a] - mean[a]) * (thetas[i][b] - mean[b]) for i in range(n))
-            for b in range(2)
-        ]
-        for a in range(2)
-    ]
-    assert np.allclose(scale.cov, 2 * np.array(brute), rtol=1e-12)
-    assert np.allclose(scale.cov, 2 * cov, rtol=1e-12)
-
-
-def test_full_covariance_adapts_on_wide_populations():
-    # the weighted product is symmetric only to rounding of its own size, which an
-    # absolute symmetry tolerance of 1e-12 rejected for most populations at sd >= 1e3
-    rng = np.random.default_rng(25)
-    for sd in (1e2, 1e3, 1e5):
-        for _ in range(20):
-            thetas = rng.normal(0.0, sd, size=(500, 2))
-            weights = rng.dirichlet(np.ones(500))
-            scale = adapt_scale(thetas, weights, mode="full")
-            _, cov = weighted_covariance(thetas, weights)
-            assert np.array_equal(scale.cov, 2.0 * cov)
-    # an asymmetry well above rounding still fails, at any size of the entries
-    for size in (1.0, 1e6):
-        with pytest.raises(ValueError, match="symmetric"):
-            KernelScale(cov=size * np.array([[1.0, 0.5], [0.5 + 1e-9, 1.0]]))
-
-
-def test_full_covariance_perturb_and_density():
-    cov = np.array([[1.5, -0.6], [-0.6, 0.9]])
-    scale = KernelScale(cov=cov)
-    rng = np.random.default_rng(22)
-    draws = perturb(np.array([1.0, -2.0]), scale, rng, size=200_000)
-    emp = np.cov(draws.T)
-    assert np.allclose(emp, cov, rtol=0.05, atol=0.02)
-    # density cross-checked against an independent implementation
-    reference = multivariate_normal(mean=[1.0, -2.0], cov=cov)
-    for point in ([1.0, -2.0], [0.0, 0.0], [2.5, -1.0]):
-        got = log_kernel_matrix(np.array([point]), np.array([[1.0, -2.0]]), scale)[0, 0]
-        assert got == pytest.approx(reference.logpdf(point), rel=1e-10)
-
-
 def test_log_mixture_density_matches_pointwise():
     rng = np.random.default_rng(23)
-    full = np.array([[1.0, 0.3], [0.3, 0.8]])
-    for scale, cov in ((KernelScale(tau2=[0.5, 2.0]), np.diag([0.5, 2.0])), (KernelScale(cov=full), full)):
-        xs = rng.normal(size=(7, 2))
-        cs = rng.normal(size=(5, 2))
-        matrix = log_kernel_matrix(xs, cs, scale)
-        for i in range(7):
-            for j in range(5):
-                assert matrix[i, j] == pytest.approx(
-                    multivariate_normal(mean=cs[j], cov=cov).logpdf(xs[i]), rel=1e-12
-                )
-        # several weighted centres: the log of the weighted sum of the pointwise densities
-        w = np.random.default_rng(26).dirichlet(np.ones(5))
-        mixture = [
-            math.log(sum(w[j] * multivariate_normal(mean=cs[j], cov=cov).pdf(x) for j in range(5)))
-            for x in xs
-        ]
-        np.testing.assert_allclose(log_mixture_density(xs, cs, w, scale), mixture, rtol=1e-12)
-    # diagonal mode is full mode with cov = diag(tau2): same moves, same densities
-    v = np.array([0.5, 2.0])
-    diagonal, full = KernelScale(tau2=v), KernelScale(cov=np.diag(v))
-    for size in (None, 50):
-        assert np.array_equal(
-            perturb([1.0, -2.0], diagonal, np.random.default_rng(24), size=size),
-            perturb([1.0, -2.0], full, np.random.default_rng(24), size=size),
-        )
-    xs, cs = rng.normal(size=(7, 2)), rng.normal(size=(5, 2))
-    np.testing.assert_allclose(
-        log_kernel_matrix(xs, cs, diagonal), log_kernel_matrix(xs, cs, full), rtol=1e-12
-    )
+    scale, cov = KernelScale(tau2=[0.5, 2.0]), np.diag([0.5, 2.0])
+    xs = rng.normal(size=(7, 2))
+    cs = rng.normal(size=(5, 2))
+    matrix = log_kernel_matrix(xs, cs, scale)
+    for i in range(7):
+        for j in range(5):
+            assert matrix[i, j] == pytest.approx(
+                multivariate_normal(mean=cs[j], cov=cov).logpdf(xs[i]), rel=1e-12
+            )
+    # several weighted centres: the log of the weighted sum of the pointwise densities
+    w = np.random.default_rng(26).dirichlet(np.ones(5))
+    mixture = [
+        math.log(sum(w[j] * multivariate_normal(mean=cs[j], cov=cov).pdf(x) for j in range(5)))
+        for x in xs
+    ]
+    np.testing.assert_allclose(log_mixture_density(xs, cs, w, scale), mixture, rtol=1e-12)
