@@ -39,7 +39,8 @@ from .samplers import abc_mcmc, abc_pmc, abc_prc, abc_rejection
 
 def _dispatch(cfg: RunConfig, model, seed: int, on_generation):
     """Run the configured algorithm, streaming populations to the callback; returns
-    the report's mcmc block, None for the population samplers."""
+    the report's mcmc block, None for the population samplers. MCMC also passes the
+    callback its chain's acceptance rate, accepted moves per step."""
     if cfg.algorithm == "rejection":
         on_generation(
             abc_rejection(
@@ -58,7 +59,8 @@ def _dispatch(cfg: RunConfig, model, seed: int, on_generation):
                 t=1, epsilon=cfg.epsilon, thetas=result.thetas[cfg.burn_in :],
                 weights=np.full(n, 1.0 / n), dists=result.dists[cfg.burn_in :],
                 scale=None, sims_used=result.sims_used,
-            )
+            ),
+            result.acceptance_rate,
         )
         return {
             "n_iter": result.n_iter,
@@ -90,11 +92,13 @@ def execute_run(cfg: RunConfig, seed: int | None = None, persist_to: Path | None
     generations: list[dict] = []
     mcmc_extra = None
 
-    def on_generation(pop: Population):
+    def on_generation(pop: Population, acceptance_rate: float | None = None):
         populations.append(pop)
         if out_dir is not None:
             persist.write_population(out_dir / persist.population_filename(pop.t), pop)
         block = generation_stats(pop)
+        if acceptance_rate is not None:
+            block["acceptance_rate"] = acceptance_rate
         generations.append(block)
         print(
             f"[{cfg.algorithm} t={block['t']}] eps={block['epsilon']:g} n={pop.n} "

@@ -103,11 +103,11 @@ def compare_to_oracle(
 def generation_stats(pop: Population) -> dict:
     """The run report's block for one population.
 
-    Keys: ``t``, ``epsilon``, ``ess``, ``acceptance_rate``, ``sims_used``,
-    ``weighted_mean``, ``weighted_var``, ``quantiles`` (one list per level in
-    QUANTILE_LEVELS, keyed by the level as a string) and ``scale``, the kernel
-    that proposed the population: None for the first generation, else
-    ``{"mode": "diagonal", "tau2": [...]}``.
+    Keys: ``t``, ``epsilon``, ``ess``, ``acceptance_rate`` (accepted particles
+    per simulator call), ``sims_used``, ``weighted_mean``, ``weighted_var``,
+    ``quantiles`` (one list per level in QUANTILE_LEVELS, keyed by the level
+    as a string) and ``scale``, the kernel that proposed the population: None
+    at t=1, else its per-dimension variances ``{"tau2": [...]}``.
     """
     mean, var = kernel.weighted_moments(pop.thetas, pop.weights)
     per_dim = [_quantiles(pop.thetas[:, k], pop.weights, QUANTILE_LEVELS) for k in range(pop.dim)]
@@ -115,7 +115,7 @@ def generation_stats(pop: Population) -> dict:
     if pop.scale is None:
         scale = None
     else:
-        scale = {"mode": "diagonal", "tau2": [float(v) for v in pop.scale.tau2]}
+        scale = {"tau2": [float(v) for v in pop.scale.tau2]}
     return {
         "t": pop.t,
         "epsilon": pop.epsilon,

@@ -32,31 +32,26 @@ BUDGET = 1 << 20  # float64 entries in the one (rows, N) block of log_mixture_de
 class KernelScale:
     """Per-dimension perturbation variance ``tau2``.
 
-    The kernel's covariance is ``diag(tau2)``; its Cholesky factor and
-    log-normalizer are precomputed so perturbation and density evaluation
-    share them. The factor is kept transposed, the orientation the
-    once-per-proposal ``perturb`` uses.
+    The kernel's covariance is ``diag(tau2)``; its per-dimension standard
+    deviations ``sd`` are precomputed so perturbation and density evaluation
+    share them.
     """
 
     tau2: np.ndarray
-    _chol_t: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    _log_norm: float = field(default=0.0, init=False, repr=False, compare=False)
+    sd: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         tau2 = np.atleast_1d(np.asarray(self.tau2, dtype=float))
         if tau2.ndim != 1 or not np.all(tau2 > 0):
             raise ValueError("tau2 must be a 1-d array of positive variances")
-        if not np.all(np.isfinite(tau2)):  # np.linalg.cholesky would pass inf on
+        if not np.all(np.isfinite(tau2)):  # an infinite variance passes the check above
             raise ValueError("tau2 must be finite")
         object.__setattr__(self, "tau2", tau2)
-        chol = np.linalg.cholesky(np.diag(tau2))
-        object.__setattr__(self, "_chol_t", chol.T)
-        log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
-        object.__setattr__(self, "_log_norm", -0.5 * (chol.shape[0] * LOG_2PI + log_det))
+        object.__setattr__(self, "sd", np.sqrt(tau2))
 
     @property
     def dim(self) -> int:
-        return self._chol_t.shape[0]
+        return self.sd.size
 
 
 def check_weight_sum(weights: np.ndarray) -> float:
@@ -119,9 +114,7 @@ def perturb(
     if theta_star.shape != (d,):
         raise ValueError(f"theta_star has shape {theta_star.shape}, expected ({d},)")
     noise = rng.standard_normal(d if size is None else (size, d))
-    # .dot, not @: it costs less for one (d,) vector, and a diagonal factor moves
-    # each coordinate by exactly noise * sqrt(tau2)
-    return theta_star + noise.dot(scale._chol_t)
+    return theta_star + noise * scale.sd
 
 
 def log_mixture_density(
@@ -134,9 +127,11 @@ def log_mixture_density(
     if points.shape[1] != scale.dim or centers.shape[1] != scale.dim:
         raise ValueError("point/center dimensions do not match the kernel scale")
     shift = weights @ centers / weights.sum()
-    chol = scale._chol_t.T
-    a = np.linalg.solve(chol, (points - shift).T).T
-    b = np.linalg.solve(chol, (centers - shift).T)
+    # times the reciprocal, not divided by sd: this keeps the bundled configs' CSVs
+    # byte-identical to those of the earlier triangular-solve whitening
+    inv_sd = 1.0 / scale.sd
+    a = (points - shift) * inv_sd
+    b = ((centers - shift) * inv_sd).T
     with np.errstate(divide="ignore"):
         col = np.log(weights) - 0.5 * np.einsum("ij,ij->j", b, b)
     out = np.empty(len(points))
@@ -149,4 +144,5 @@ def log_mixture_density(
         np.exp(blk, out=blk)
         out[lo:lo + rows] = np.log(blk.sum(axis=1)) + top[:, 0]
         del blk  # freed before the next block is allocated: one (rows, N) array at a time
-    return out - 0.5 * np.einsum("ij,ij->i", a, a) + scale._log_norm
+    log_norm = -0.5 * (scale.dim * LOG_2PI + 2.0 * float(np.sum(np.log(scale.sd))))
+    return out - 0.5 * np.einsum("ij,ij->i", a, a) + log_norm

@@ -249,8 +249,8 @@ def abc_mcmc(
     proposal_sd = np.broadcast_to(
         np.asarray(proposal_sd, dtype=float), (model.dim,)
     ).copy()
-    if not np.all(proposal_sd > 0):
-        raise ValueError("proposal_sd must be positive")
+    if not np.all((proposal_sd > 0) & np.isfinite(proposal_sd)):
+        raise ValueError("proposal_sd must be finite and positive")
     found = abc_rejection(model, epsilon, 1, seed=seed, budget=budget)
     theta = found.thetas[0]
     cur_dist = float(found.dists[0])

@@ -217,7 +217,7 @@ def test_run_records_proposal_scales(tmp_path, monkeypatch, capsys):
     report = persist.read_report(out_dir / "report.json")
     assert report["generations"][0]["scale"] is None
     scale = report["generations"][1]["scale"]
-    assert set(scale) == {"mode", "tau2"} and scale["mode"] == "diagonal"
+    assert set(scale) == {"tau2"}
     # twice the weighted variance of the generation it perturbs
     _, thetas, weights, _ = persist.read_population_csv(out_dir / "gen_001.csv")
     var = weights @ (thetas - weights @ thetas) ** 2
@@ -337,6 +337,19 @@ def test_run_mcmc(tmp_path):
     t, thetas, weights, dists = persist.read_population_csv(out_dir / "gen_001.csv")
     assert thetas.shape[0] == 2500
     assert np.all(dists <= 0.5)
+
+
+def test_mcmc_reports_the_chains_acceptance_rate(tmp_path, capsys):
+    # accepted moves per step, not the post-burn-in chain length per simulator call
+    out_dir = tmp_path / "out"
+    doc = {"algorithm": "mcmc", "model": "mixture-toy", "seed": 42, "epsilon": 0.1,
+           "n_iter": 2000, "burn_in": 100, "proposal_sd": 1.5, "out_dir": str(out_dir)}
+    assert main(["run", "--config", write_config(tmp_path, doc)]) == 0
+    captured = capsys.readouterr()
+    report = persist.read_report(out_dir / "report.json")
+    rate = report["mcmc"]["acceptance_rate"]
+    assert report["generations"][0]["acceptance_rate"] == rate <= 1.0
+    assert f"acc={rate:.3g}" in captured.err and f"acc={rate:.3g}" in captured.out
 
 
 def test_run_coalescent_small(tmp_path):

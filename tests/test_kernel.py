@@ -122,7 +122,7 @@ def test_kernel_scale_validation():
     for bad in ([0.0], [1.0, -2.0], [[1.0, 2.0]]):
         with pytest.raises(ValueError, match="tau2"):
             KernelScale(tau2=bad)
-    # np.linalg.cholesky factors NaN and inf without raising
+    # NaN fails the positivity check; inf passes it and must still raise
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="tau2"):
             KernelScale(tau2=[1.0, bad])
@@ -136,6 +136,20 @@ def test_perturb_rejects_wrong_shape():
         perturb(np.array([[0.0, 0.0]]), KernelScale(tau2=[1.0, 1.0]), rng)
     with pytest.raises(ValueError):  # a scalar is not a (1,) vector
         perturb(0.0, KernelScale(tau2=[1.0]), rng)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("size", [None, 5])
+def test_perturb_moves_each_coordinate_by_noise_times_sd(d, size):
+    # the kernel arithmetic, pinned bit for bit: theta + z * sqrt(tau2), z from the same stream
+    grid = np.geomspace(1e-12, 1e6, 19)
+    for i in range(len(grid) - d + 1):
+        tau2 = grid[i:i + d]
+        theta = np.arange(d) - 0.5
+        got = perturb(theta, KernelScale(tau2=tau2), np.random.default_rng(i), size=size)
+        z = np.random.default_rng(i).standard_normal(d if size is None else (size, d))
+        assert got.shape == z.shape
+        assert np.array_equal(got, theta + z * np.sqrt(tau2))
 
 
 def test_perturb_at_variance_floor_stays_close():

@@ -474,6 +474,9 @@ def test_mcmc_takes_per_dimension_proposal_sd():
     assert np.ptp(narrow.thetas[:, 1]) < 1e-3 < np.ptp(narrow.thetas[:, 0])
     with pytest.raises(ValueError):
         abc_mcmc(model, 0.5, 300, [0.2, 0.2, 0.2], seed=3)
+    for bad in (np.inf, [0.2, np.inf]):  # a chain that could never move
+        with pytest.raises(ValueError, match="proposal_sd"):
+            abc_mcmc(model, 0.5, 300, bad, seed=3)
 
 
 def test_mcmc_finds_init_and_counts_sims():
