@@ -31,8 +31,9 @@ from . import kernel
 from .errors import BudgetExhausted, ConfigError, Stalled
 from .models import ModelSpec
 
-# chain namespace: generation indices start at 1, so t=0 is reserved for
-# sequential (non-generation) consumers such as the MCMC chain
+# chain namespace: generation indices start at 1, so t=0 is reserved for the
+# MCMC chain. Its counter 0 gives each block of samplers.CHUNK steps its proposal
+# noise, then its acceptance uniforms; its counter 1 feeds the simulator
 CHAIN_STREAM_T = 0
 
 # waves in a row without an acceptance before a generation gives up: such waves

@@ -208,6 +208,11 @@ def abc_prc(
     )
 
 
+# steps per block of MCMC draws; part of the chain's stream layout, so changing
+# it changes every MCMC output
+CHUNK = 256
+
+
 @dataclass(frozen=True)
 class MCMCResult:
     """Likelihood-free MCMC output: the chain plus acceptance accounting."""
@@ -243,39 +248,63 @@ def abc_mcmc(
     epsilon and a uniform draw passes the prior ratio. Out-of-support
     proposals are rejected without spending a simulation. The chain starts
     from a one-particle ``abc_rejection`` draw, counted against the budget.
+
+    The chain draws from two streams of ``engine.CHAIN_STREAM_T``. Counter 0
+    gives, for each block of ``CHUNK`` steps (fewer in the last block), the
+    block's proposal noise ``(m, d)`` and then its ``m`` acceptance uniforms;
+    counter 1 feeds the simulator, one call after another. Step i proposes
+    ``theta_{i-1} + noise_i``: between acceptances the rest of a block is
+    proposed and support-checked in one array step, so the Python work per
+    step is one simulator call at most. The chain is built from its accepted
+    states and their run lengths at the end.
     """
     if n_iter < 1:
         raise ValueError("n_iter must be >= 1")
-    proposal_sd = np.broadcast_to(
-        np.asarray(proposal_sd, dtype=float), (model.dim,)
-    ).copy()
-    if not np.all((proposal_sd > 0) & np.isfinite(proposal_sd)):
-        raise ValueError("proposal_sd must be finite and positive")
+    d = model.dim
+    sd = np.asarray(proposal_sd, dtype=float)
+    if sd.shape not in ((), (1,), (d,)) or not np.all((sd > 0) & np.isfinite(sd)):
+        raise ValueError(f"proposal_sd must be one finite positive SD or {d}, one per "
+                         f"model dimension; got {np.asarray(proposal_sd).tolist()}")
+    sd = np.broadcast_to(sd, (d,))
     found = abc_rejection(model, epsilon, 1, seed=seed, budget=budget)
     theta = found.thetas[0]
-    cur_dist = float(found.dists[0])
-    limit = math.inf if budget is None else int(budget)
-    rng = engine.attempt_stream(seed, engine.CHAIN_STREAM_T, 0)
     cur_lp = model.prior.logpdf(theta)
-    d = model.dim
-    thetas = np.empty((n_iter, d))
-    dists = np.empty(n_iter)
+    limit = math.inf if budget is None else int(budget)
+    draws = engine.attempt_stream(seed, engine.CHAIN_STREAM_T, 0)
+    sim_rng = engine.attempt_stream(seed, engine.CHAIN_STREAM_T, 1)
     sims = found.sims_used
+    # the chain as runs: states[k] is the state from step starts[k] until the next start;
+    # rows past the last acceptance are never written, so they take no memory
+    states = np.empty((n_iter + 1, d))
+    state_dists = np.empty(n_iter + 1)
+    starts = np.empty(n_iter + 1, dtype=np.intp)
+    states[0], state_dists[0], starts[0] = theta, found.dists[0], 0
     n_accepted = 0
-    for i in range(n_iter):
-        prop = theta + rng.standard_normal(d) * proposal_sd
-        lp = model.prior.logpdf(prop)
-        if lp > -np.inf:
-            if sims + 1 > limit:
-                raise BudgetExhausted(n_iter, i, sims)
-            prop_dist = model.simulate_distance(prop, rng)
-            sims += 1
-            u = rng.random()
-            if prop_dist <= epsilon and math.log(u) < lp - cur_lp:
-                theta = prop
-                cur_dist = prop_dist
-                cur_lp = lp
-                n_accepted += 1
-        thetas[i] = theta
-        dists[i] = cur_dist
+    for lo in range(0, n_iter, CHUNK):
+        m = min(CHUNK, n_iter - lo)
+        noise = draws.standard_normal((m, d)) * sd
+        us = draws.random(m)
+        i = 0  # first step of the block not yet taken
+        while i < m:
+            props = theta + noise[i:]
+            lps = model.prior.logpdf_batch(props)
+            for k in np.flatnonzero(lps > -np.inf).tolist():
+                if sims >= limit:
+                    raise BudgetExhausted(n_iter, lo + i + k, sims)
+                dist = model.simulate_distance(props[k], sim_rng)
+                sims += 1
+                if dist <= epsilon and math.log(us[i + k]) < lps[k] - cur_lp:
+                    n_accepted += 1
+                    states[n_accepted] = props[k]
+                    theta = states[n_accepted]
+                    cur_lp = lps[k]
+                    state_dists[n_accepted] = dist
+                    starts[n_accepted] = lo + i + k
+                    i += k + 1
+                    break
+            else:
+                break  # no move accepted: the rest of the block repeats theta
+    lengths = np.diff(starts[:n_accepted + 1], append=n_iter)
+    thetas = np.repeat(states[:n_accepted + 1], lengths, axis=0)
+    dists = np.repeat(state_dists[:n_accepted + 1], lengths)
     return MCMCResult(thetas, dists, n_accepted, sims, found.sims_used)

@@ -13,6 +13,8 @@ from popabc.errors import BudgetExhausted, DegeneratePopulation
 from popabc.kernel import KernelScale, check_weight_sum
 from popabc.models import IndependentNormalPrior, ModelSpec, UniformBoxPrior
 from popabc.samplers import (
+    CHUNK,
+    MCMCResult,
     Population,
     ToleranceSchedule,
     _normalize_log_weights,
@@ -472,7 +474,7 @@ def test_mcmc_takes_per_dimension_proposal_sd():
     assert np.array_equal(scalar.thetas, same.thetas)
     narrow = abc_mcmc(model, 0.5, 300, [0.2, 1e-6], seed=3)
     assert np.ptp(narrow.thetas[:, 1]) < 1e-3 < np.ptp(narrow.thetas[:, 0])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="proposal_sd"):
         abc_mcmc(model, 0.5, 300, [0.2, 0.2, 0.2], seed=3)
     for bad in (np.inf, [0.2, np.inf]):  # a chain that could never move
         with pytest.raises(ValueError, match="proposal_sd"):
@@ -494,5 +496,103 @@ def test_mcmc_mixture_variance_sanity():
 
 
 def test_mcmc_budget_enforced():
-    with pytest.raises(BudgetExhausted):
+    with pytest.raises(BudgetExhausted) as exc:
         abc_mcmc(get_model("mixture-toy"), 0.5, 100_000, 1.0, seed=2, budget=500)
+    # the step whose simulation would have been call 501, as the reference loop finds it
+    assert exc.value.partial == {"requested": 100_000, "accepted": 435, "sims_used": 500}
+    with pytest.raises(BudgetExhausted) as ref:
+        reference_mcmc(get_model("mixture-toy"), 0.5, 100_000, 1.0, seed=2, budget=500)
+    assert ref.value.partial == exc.value.partial
+
+
+def reference_mcmc(model, epsilon, n_iter, proposal_sd, *, seed, budget=None):
+    """``abc_mcmc`` one step at a time, from the same two streams in the same layout."""
+    found = abc_rejection(model, epsilon, 1, seed=seed, budget=budget)
+    theta, cur_dist = found.thetas[0], float(found.dists[0])
+    cur_lp = model.prior.logpdf(theta)
+    sd = np.broadcast_to(np.asarray(proposal_sd, dtype=float), (model.dim,))
+    draws = engine.attempt_stream(seed, engine.CHAIN_STREAM_T, 0)
+    sim_rng = engine.attempt_stream(seed, engine.CHAIN_STREAM_T, 1)
+    sims, n_accepted = found.sims_used, 0
+    thetas, dists = [], []
+    for lo in range(0, n_iter, CHUNK):
+        m = min(CHUNK, n_iter - lo)
+        noise = draws.standard_normal((m, model.dim)) * sd
+        us = draws.random(m)
+        for i in range(m):
+            prop = theta + noise[i]
+            lp = model.prior.logpdf(prop)
+            if lp > -math.inf:
+                if budget is not None and sims >= budget:
+                    raise BudgetExhausted(n_iter, lo + i, sims)
+                dist = model.simulate_distance(prop, sim_rng)
+                sims += 1
+                if dist <= epsilon and math.log(us[i]) < lp - cur_lp:
+                    theta, cur_dist, cur_lp = prop, dist, lp
+                    n_accepted += 1
+            thetas.append(theta)
+            dists.append(cur_dist)
+    return MCMCResult(np.array(thetas), np.array(dists), n_accepted, sims, found.sims_used)
+
+
+def normal_prior_model():
+    """A Gaussian prior, so the prior ratio decides moves the distance lets through."""
+    return ModelSpec(
+        name="normal-prior",
+        prior=IndependentNormalPrior([0.0], [1.0]),
+        simulator=lambda theta, rng: np.array([theta[0] + rng.normal()]),
+        observed=[0.0],
+    )
+
+
+def box_model_2d():
+    return ModelSpec(
+        name="box-2d",
+        prior=UniformBoxPrior([0.0, -1.0], [1.0, 2.0]),
+        simulator=lambda theta, rng: theta + rng.normal(size=2),
+        observed=[0.5, 0.5],
+    )
+
+
+@pytest.mark.parametrize(
+    "make_model, epsilon, n_iter, proposal_sd, seed",
+    [
+        (lambda: get_model("mixture-toy"), 0.1, 5_000, 1.5, 1),
+        (box_model_2d, 1.0, 3_000, 10.0, 7),  # most proposals leave the support
+        (lambda: get_model("mixture-toy"), 0.5, 3 * CHUNK + 17, 1.0, 4),
+        (normal_prior_model, 1.0, 2 * CHUNK + 1, [2.0], 5),
+    ],
+    ids=["mixture", "box-2d-wide", "partial-last-block", "normal-prior"],
+)
+def test_mcmc_equals_the_per_step_reference(make_model, epsilon, n_iter, proposal_sd, seed):
+    model = make_model()
+    got = abc_mcmc(model, epsilon, n_iter, proposal_sd, seed=seed)
+    want = reference_mcmc(model, epsilon, n_iter, proposal_sd, seed=seed)
+    assert np.array_equal(got.thetas, want.thetas)
+    assert np.array_equal(got.dists, want.dists)
+    assert (got.n_accepted, got.sims_used, got.init_sims) == (
+        want.n_accepted, want.sims_used, want.init_sims
+    )
+    assert 0 < got.n_accepted < n_iter - 1
+
+
+def test_mcmc_partial_last_block_case_holds_states_across_blocks():
+    # the premise of the reference case above: the last block is short, and some
+    # state is held across a block boundary
+    model = get_model("mixture-toy")
+    n_iter = 3 * CHUNK + 17
+    got = abc_mcmc(model, 0.5, n_iter, 1.0, seed=4)
+    boundaries = np.arange(CHUNK, n_iter, CHUNK)
+    assert np.any(got.thetas[boundaries - 1, 0] == got.thetas[boundaries, 0])
+    assert n_iter % CHUNK != 0
+
+
+def test_mcmc_budget_out_mid_block_matches_the_reference():
+    model = get_model("mixture-toy")
+    with pytest.raises(BudgetExhausted) as got:
+        abc_mcmc(model, 0.1, 10_000, 1.5, seed=3, budget=777)
+    with pytest.raises(BudgetExhausted) as want:
+        reference_mcmc(model, 0.1, 10_000, 1.5, seed=3, budget=777)
+    assert got.value.partial == want.value.partial
+    assert got.value.partial["sims_used"] == 777
+    assert got.value.partial["accepted"] % CHUNK != 0
