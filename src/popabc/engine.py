@@ -210,22 +210,27 @@ def _run_attempt_chunk(args):
     dists = np.empty(m)
     ancestors = np.full(m, -1, dtype=np.int64)
     prior = model.prior
-    factory = StreamFactory(seed)
+    # looked up once per chunk, when it starts: a wrapper put on kernel.perturb, or a
+    # ModelSpec subclass, before the run is the one called
+    stream = StreamFactory(seed).stream
+    sample, perturb, in_support = prior.sample, kernel.perturb, prior.in_support
+    simulate_distance, bisect_right = model.simulate_distance, bisect.bisect_right
     if prev_thetas is not None:
         # Python rows and floats: indexing them costs less than indexing arrays
         rows, cumw = list(prev_thetas), prev_cumw.tolist()
+        last = len(cumw) - 1
     for i in range(m):
-        rng = factory.stream(t, lo + i)
+        rng = stream(t, lo + i)
         if prev_thetas is None:
-            theta = prior.sample(rng)
+            theta = sample(rng)
         else:
             while True:
-                j = pick_index(cumw, rng.random())
-                theta = kernel.perturb(rows[j], scale, rng)
-                if prior.in_support(theta):
+                j = min(bisect_right(cumw, rng.random()), last)  # pick_index, inlined
+                theta = perturb(rows[j], scale, rng)
+                if in_support(theta):
                     break
             ancestors[i] = j
-        dists[i] = model.simulate_distance(theta, rng)
+        dists[i] = simulate_distance(theta, rng)
         thetas[i] = theta
     return lo, thetas, dists, ancestors, dists <= epsilon
 

@@ -110,11 +110,11 @@ def perturb(
     drawn from the same stream.
     """
     theta_star = np.asarray(theta_star, dtype=float)
-    d = scale.dim
-    if theta_star.shape != (d,):
-        raise ValueError(f"theta_star has shape {theta_star.shape}, expected ({d},)")
-    noise = rng.standard_normal(d if size is None else (size, d))
-    return theta_star + noise * scale.sd
+    sd = scale.sd
+    if theta_star.shape != sd.shape:
+        raise ValueError(f"theta_star has shape {theta_star.shape}, expected ({sd.size},)")
+    noise = rng.standard_normal(sd.shape if size is None else (size, sd.size))
+    return theta_star + noise * sd
 
 
 def log_mixture_density(

@@ -18,6 +18,8 @@ Simulator = Callable[[np.ndarray, np.random.Generator], np.ndarray]
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
+_FLOAT64 = np.dtype(float)
+
 
 @dataclass(frozen=True)
 class UniformBoxPrior:
@@ -65,8 +67,11 @@ class UniformBoxPrior:
         return np.where(inside, -self._log_volume, -np.inf)
 
     def in_support(self, theta) -> bool:
-        values = _check_theta(theta, self.dim).tolist()
         lows, highs = self._bounds
+        if type(theta) is np.ndarray and theta.dtype is _FLOAT64 and theta.shape == self.lows.shape:
+            values = theta.tolist()  # already a float vector of the right shape: no copy
+        else:
+            values = _check_theta(theta, len(lows)).tolist()
         return all(map(operator.le, lows, values)) and all(map(operator.le, values, highs))
 
 
@@ -83,6 +88,8 @@ class IndependentNormalPrior:
         sds = np.atleast_1d(np.asarray(self.sds, dtype=float))
         if means.ndim != 1 or means.shape != sds.shape:
             raise ValueError("means and sds must be 1-d arrays of equal length")
+        if not np.all(np.isfinite(means)) or not np.all(np.isfinite(sds)):
+            raise ValueError("prior means and sds must be finite")
         if not np.all(sds > 0):
             raise ValueError("all sds must be positive")
         object.__setattr__(self, "means", means)
@@ -110,7 +117,12 @@ class IndependentNormalPrior:
 
     def in_support(self, theta) -> bool:
         """A Gaussian's support is all of R^d: every finite vector of the right length."""
-        return all(map(math.isfinite, _check_theta(theta, self.dim).tolist()))
+        if (type(theta) is np.ndarray and theta.dtype is _FLOAT64
+                and theta.shape == self.means.shape):
+            values = theta.tolist()  # already a float vector of the right shape: no copy
+        else:
+            values = _check_theta(theta, self.dim).tolist()
+        return all(map(math.isfinite, values))
 
 
 PriorSpec = Union[UniformBoxPrior, IndependentNormalPrior]
@@ -169,6 +181,9 @@ class ModelSpec:
 
     def __post_init__(self):
         observed = np.atleast_1d(np.asarray(self.observed, dtype=float))
+        if observed.ndim != 1:
+            raise ValueError(f"observed must be a 1-d vector of summaries, got shape "
+                             f"{observed.shape}")
         if not np.all(np.isfinite(observed)):
             raise ValueError("observed summaries must be finite")
         object.__setattr__(self, "observed", observed)
@@ -176,8 +191,8 @@ class ModelSpec:
             scale = np.atleast_1d(np.asarray(self.summary_scale, dtype=float))
             if scale.shape != observed.shape:
                 raise ValueError("summary_scale must match observed length")
-            if not np.all(scale > 0):
-                raise ValueError("summary_scale entries must be positive")
+            if not np.all((scale > 0) & np.isfinite(scale)):
+                raise ValueError("summary_scale entries must be finite and positive")
             object.__setattr__(self, "summary_scale", scale)
 
     @property
@@ -186,13 +201,19 @@ class ModelSpec:
 
     def simulate_distance(self, theta: np.ndarray, rng: np.random.Generator) -> float:
         """Run the simulator once and return the distance to the observed summaries."""
-        summaries = np.array(self.simulator(theta, rng), dtype=float, ndmin=1)
+        summaries = np.asarray(self.simulator(theta, rng), dtype=float)
+        if summaries.ndim == 0:
+            summaries = summaries.reshape(1)
         if summaries.shape != self.observed.shape:
             raise ValueError(
                 f"simulator returned {summaries.shape[0]} summaries, "
                 f"expected {self.observed.size}"
             )
-        dist = _norm(summaries - self.observed, self.summary_scale)
+        # _norm's arithmetic, inlined: this runs once per simulation
+        diff = summaries - self.observed
+        if self.summary_scale is not None:
+            diff = diff / self.summary_scale
+        dist = math.sqrt(diff.dot(diff))
         if not math.isfinite(dist):
             raise ValueError(
                 f"simulator returned summaries {summaries.tolist()} at theta "

@@ -273,6 +273,10 @@ def abc_mcmc(
     draws = engine.attempt_stream(seed, engine.CHAIN_STREAM_T, 0)
     sim_rng = engine.attempt_stream(seed, engine.CHAIN_STREAM_T, 1)
     sims = found.sims_used
+    # looked up once, when the chain starts: a ModelSpec subclass's method is the one called
+    simulate_distance = model.simulate_distance
+    logpdf_batch = model.prior.logpdf_batch
+    log = math.log
     # the chain as runs: states[k] is the state from step starts[k] until the next start;
     # rows past the last acceptance are never written, so they take no memory
     states = np.empty((n_iter + 1, d))
@@ -287,13 +291,13 @@ def abc_mcmc(
         i = 0  # first step of the block not yet taken
         while i < m:
             props = theta + noise[i:]
-            lps = model.prior.logpdf_batch(props)
+            lps = logpdf_batch(props)
             for k in np.flatnonzero(lps > -np.inf).tolist():
                 if sims >= limit:
                     raise BudgetExhausted(n_iter, lo + i + k, sims)
-                dist = model.simulate_distance(props[k], sim_rng)
+                dist = simulate_distance(props[k], sim_rng)
                 sims += 1
-                if dist <= epsilon and math.log(us[i + k]) < lps[k] - cur_lp:
+                if dist <= epsilon and log(us[i + k]) < lps[k] - cur_lp:
                     n_accepted += 1
                     states[n_accepted] = props[k]
                     theta = states[n_accepted]

@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from popabc import benchmarks, engine
+from popabc import benchmarks, engine, kernel
 from popabc.cli import execute_run
 from popabc.config import parse_run_config
 from popabc.errors import BudgetExhausted, ConfigError, Stalled
@@ -313,3 +315,102 @@ def test_attempt_chunk_equals_reference_loop(prior, scale, t):
     assert np.all(accept == ref_accept) and 0 < accept.sum() < 600
     if t == 3 and isinstance(prior, UniformBoxPrior):
         assert redraws > 100
+
+
+def call_by_call_chunk(model, epsilon, seed, t, lo, hi, prev_thetas, prev_cumw, scale):
+    """``engine._run_attempt_chunk`` as it was written before its per-attempt callables
+    were bound once per chunk, with the earlier bodies of ``ModelSpec.simulate_distance``
+    (an ``ndmin=1`` copy and ``models._norm``), ``kernel.perturb`` and
+    ``UniformBoxPrior.in_support`` (a checked copy of theta) written out inline."""
+    m = hi - lo
+    thetas = np.empty((m, model.dim))
+    dists = np.empty(m)
+    ancestors = np.full(m, -1, dtype=np.int64)
+    prior = model.prior
+    factory = engine.StreamFactory(seed)
+    if prev_thetas is not None:
+        rows, cumw = list(prev_thetas), prev_cumw.tolist()
+    for i in range(m):
+        rng = factory.stream(t, lo + i)
+        if prev_thetas is None:
+            theta = prior.sample(rng)
+        else:
+            while True:
+                j = engine.pick_index(cumw, rng.random())
+                theta_star = np.asarray(rows[j], dtype=float)
+                theta = theta_star + rng.standard_normal(scale.dim) * scale.sd
+                values = np.array(theta, dtype=float, ndmin=1).tolist()
+                if all(low <= v <= high for low, high, v in zip(*prior._bounds, values)):
+                    break
+            ancestors[i] = j
+        summaries = np.array(model.simulator(theta, rng), dtype=float, ndmin=1)
+        diff = summaries - model.observed
+        if model.summary_scale is not None:
+            diff = diff / model.summary_scale
+        dists[i] = math.sqrt(np.dot(diff, diff))
+        thetas[i] = theta
+    return thetas, dists, ancestors, dists <= epsilon
+
+
+def box_escape_model():
+    """A 2-d box that the pinned kernel below mostly proposes out of."""
+    def simulate(theta, rng):
+        return theta + 0.3 * rng.standard_normal(2)
+
+    return ModelSpec(name="box-escape", prior=UniformBoxPrior([0.0, -1.0], [1.0, 0.0]),
+                     simulator=simulate, observed=[0.5, -0.5], summary_scale=[1.0, 0.5])
+
+
+# (model, epsilon, population to perturb: lows, highs, kernel variance per dimension)
+PINNED_CASES = {
+    "mixture": (lambda: benchmarks.get_model("mixture-toy"), 0.5, [-10.0], [10.0], [4.0]),
+    "coalescent": (lambda: benchmarks.get_model("coalescent-msat"), 1.0, [0.1], [20.0], [9.0]),
+    "box-escape": (box_escape_model, 0.3, [0.0, -1.0], [1.0, 0.0], [4.0, 4.0]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_CASES))
+@pytest.mark.parametrize("t, lo, hi", [(1, 0, 300), (2, 0, 300), (4, 1000, 1250)],
+                         ids=["generation-1", "generation-2", "generation-4-from-1000"])
+def test_attempt_chunk_equals_the_call_by_call_loop(case, t, lo, hi):
+    make_model, epsilon, lows, highs, tau2 = PINNED_CASES[case]
+    model = make_model()
+    rng = np.random.default_rng(31)
+    prev_thetas = rng.uniform(lows, highs, size=(40, len(lows)))
+    prev_cumw = np.cumsum(rng.dirichlet(np.ones(40)))
+    args = (model, epsilon, 555, t, lo, hi) + (
+        (None, None, None) if t == 1 else (prev_thetas, prev_cumw, KernelScale(tau2=tau2))
+    )
+    got_lo, thetas, dists, ancestors, accept = engine._run_attempt_chunk(args)
+    want = call_by_call_chunk(*args)
+    assert got_lo == lo and thetas.shape == (hi - lo, len(lows))
+    for got, ref in zip((thetas, dists, ancestors, accept), want):
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+    assert 0 < accept.sum() < hi - lo
+
+
+def test_box_escape_case_mostly_redraws():
+    # the pinned box case is there for its redraws: most proposals leave the box
+    _, _, lows, highs, tau2 = PINNED_CASES["box-escape"]
+    prior = UniformBoxPrior(lows, highs)
+    rng = np.random.default_rng(5)
+    starts = rng.uniform(lows, highs, size=(2000, 2))
+    moved = starts + rng.standard_normal((2000, 2)) * np.sqrt(tau2)
+    assert np.mean(prior.logpdf_batch(moved) == -np.inf) > 0.8
+
+
+def test_attempt_chunk_binds_perturb_when_it_starts(monkeypatch):
+    # a wrapper put on kernel.perturb after import, as the bench's tracer does, is called
+    calls = []
+    original = kernel.perturb
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(kernel, "perturb", counted)
+    model = benchmarks.get_model("mixture-toy")
+    args = (model, 0.5, 1, 2, 0, 50, np.array([[0.0], [1.0]]), np.array([0.5, 1.0]),
+            KernelScale(tau2=[1.0]))
+    engine._run_attempt_chunk(args)
+    assert len(calls) >= 50

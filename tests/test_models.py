@@ -169,3 +169,79 @@ def test_modelspec_summary_scale_validation():
             observed=[0.0],
             summary_scale=[1.0, 2.0],
         )
+
+
+@pytest.mark.parametrize("means, sds", [([np.nan], [1.0]), ([np.inf], [1.0]),
+                                        ([0.0], [np.inf]), ([0.0, 0.0], [1.0, np.nan])],
+                         ids=["nan-mean", "inf-mean", "inf-sd", "nan-sd"])
+def test_normal_prior_rejects_non_finite_parameters(means, sds):
+    with pytest.raises(ValueError, match="finite"):
+        IndependentNormalPrior(means, sds)
+
+
+def test_modelspec_rejects_infinite_scale_and_2d_observed():
+    # an infinite scale would drop its summary from every distance
+    with pytest.raises(ValueError, match="summary_scale"):
+        ModelSpec(name="bad", prior=UniformBoxPrior([0.0], [1.0]),
+                  simulator=lambda theta, rng: np.array([3.0, 1.0]),
+                  observed=[0.0, 0.0], summary_scale=[np.inf, 1.0])
+    with pytest.raises(ValueError, match="observed"):
+        ModelSpec(name="bad", prior=UniformBoxPrior([0.0], [1.0]),
+                  simulator=lambda theta, rng: np.array([0.0, 0.0]),
+                  observed=[[0.0, 0.0]])
+
+
+def fixed_model(returned, observed=(0.5,)):
+    return ModelSpec(name="fixed", prior=UniformBoxPrior([0.0], [1.0]),
+                     simulator=lambda theta, rng: returned, observed=list(observed))
+
+
+def test_simulate_distance_takes_a_0d_array_as_one_summary():
+    model = fixed_model(np.array(0.7))
+    assert model.simulate_distance(np.array([0.5]), np.random.default_rng(0)) == distance(0.7, 0.5)
+
+
+@pytest.mark.parametrize("returned, observed", [(np.array([[0.7]]), (0.5,)),
+                                                ([0.7, 0.1, 0.2], (0.5, 0.5))],
+                         ids=["1x1-array", "wrong-length-list"])
+def test_simulate_distance_rejects_wrong_shapes(returned, observed):
+    with pytest.raises(ValueError, match="simulator returned"):
+        fixed_model(returned, observed).simulate_distance(np.array([0.5]),
+                                                          np.random.default_rng(0))
+
+
+def test_simulate_distance_names_theta_when_a_summary_is_infinite():
+    model = fixed_model([np.inf, 0.0], observed=(0.0, 0.0))
+    with pytest.raises(ValueError, match=r"theta \[0\.25\]"):
+        model.simulate_distance(np.array([0.25]), np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("summaries, scale", [([3.0, 1.0], None), ([3.0, 1.0], [2.0, 0.5]),
+                                              ([1e-3, 7.0, -2.5], [0.3, 3.0, 1.7])])
+def test_simulate_distance_matches_models_distance_bit_for_bit(summaries, scale):
+    observed = [0.25] * len(summaries)
+    model = ModelSpec(name="fixed", prior=UniformBoxPrior([0.0], [1.0]),
+                      simulator=lambda theta, rng: np.array(summaries), observed=observed,
+                      summary_scale=scale)
+    got = model.simulate_distance(np.array([0.5]), np.random.default_rng(0))
+    want = distance(summaries, observed, None if scale is None else np.array(scale))
+    assert got == want
+
+
+def test_in_support_reads_lists_int_arrays_and_2d_arrays_as_before():
+    box = UniformBoxPrior([0.0, 0.0], [1.0, 2.0])
+    normal = IndependentNormalPrior([0.0, 0.0], [1.0, 1.0])
+    assert box.in_support([0.5, 1.5]) is True and box.in_support([0.5, 2.5]) is False
+    assert box.in_support(np.array([1, 2])) is True and box.in_support(np.array([2, 0])) is False
+    assert normal.in_support([0.5, 1e300]) is True and normal.in_support(np.array([3, -4])) is True
+    # float32 and strided views are read as float vectors too
+    assert box.in_support(np.array([0.5, 1.5], dtype=np.float32)) is True
+    assert box.in_support(np.array([[0.5, 9.0], [1.5, 9.0]])[:, 0]) is True
+    # an int vector is compared after its conversion to float, as before: 2**53 + 1
+    # rounds to 2**53, which is the upper bound
+    edge = UniformBoxPrior([0.0], [2.0 ** 53])
+    assert edge.in_support(np.array([2 ** 53 + 1])) is True
+    for prior in (box, normal):
+        for theta in (np.array([[0.5, 0.5]]), np.array([[0.5], [0.5]]), np.array(0.5)):
+            with pytest.raises(ValueError, match="shape"):
+                prior.in_support(theta)
