@@ -12,7 +12,7 @@ from .diagnostics import (
     compare_to_oracle,
     ess,
     generation_stats,
-    weighted_quantile,
+    weighted_quantiles,
 )
 from .engine import Population
 from .errors import BudgetExhausted, ConfigError, DegeneratePopulation, RunFailed, Stalled
@@ -21,7 +21,6 @@ from .models import (
     IndependentNormalPrior,
     ModelSpec,
     UniformBoxPrior,
-    distance,
 )
 from .samplers import (
     MCMCResult,
@@ -57,12 +56,11 @@ __all__ = [
     "abc_rejection",
     "adapt_scale",
     "compare_to_oracle",
-    "distance",
     "ess",
     "generation_stats",
     "perturb",
     "pmc_log_weights",
     "prc_log_weights",
     "weighted_moments",
-    "weighted_quantile",
+    "weighted_quantiles",
 ]

@@ -11,7 +11,6 @@ A compare config sets ``seed`` and ``out_dir`` at its top level only.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -19,6 +18,7 @@ from typing import Callable, NamedTuple
 import yaml
 
 from . import benchmarks
+from .engine import ARG_RULES, check_arg, resolve_workers
 from .errors import ConfigError
 from .samplers import ToleranceSchedule
 
@@ -71,11 +71,6 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _int_in(low: int, high: float = math.inf):
-    """Test for an integer in [low, high]."""
-    return lambda v: _is_int(v) and low <= v <= high
-
-
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
@@ -98,30 +93,27 @@ class _Key(NamedTuple):
     convert: Callable = lambda value: value
 
 
-# An algorithm rejects the keys it does not read. The tolerance checks live in
-# ToleranceSchedule, whose ValueError names the bad entries.
+# An algorithm rejects the keys it does not read. valid tests a value's type; its range
+# is the library's rule, in engine.ARG_RULES, resolve_workers or ToleranceSchedule.
 _RUN_KEYS = {
     "algorithm": _Key(f"one of {', '.join(ALGORITHMS)}", lambda v: v in ALGORITHMS, default=_REQUIRED),
     "model": _Key("a model name", lambda v: isinstance(v, str), default=_REQUIRED,
                   convert=_known_model),
-    "seed": _Key("an unsigned 64-bit integer", _int_in(0, 2**64 - 1), default=_REQUIRED),
-    "n_particles": _Key("a positive integer", _int_in(1), POPULATION_ALGORITHMS, _REQUIRED),
+    "seed": _Key("an integer", _is_int, default=_REQUIRED),
+    "n_particles": _Key("an integer", _is_int, POPULATION_ALGORITHMS, _REQUIRED),
     "schedule": _Key(
         "a list of tolerances",
         lambda v: isinstance(v, (list, tuple)) and all(map(_is_number, v)),
         SEQUENTIAL_ALGORITHMS, _REQUIRED, lambda v: ToleranceSchedule(tuple(v)),
     ),
-    "epsilon": _Key(
-        "a nonnegative number", lambda v: _is_number(v) and v >= 0,
-        ("rejection", "mcmc"), _REQUIRED, float,
-    ),
-    "n_iter": _Key("a positive integer", _int_in(1), ("mcmc",), _REQUIRED),
-    "proposal_sd": _Key("a finite positive number", lambda v: _is_number(v) and 0 < v < math.inf,
-                        ("mcmc",), _REQUIRED, float),
-    "burn_in": _Key("a nonnegative integer", _int_in(0), ("mcmc",), 0),
-    "budget": _Key("a positive integer", _int_in(1)),
-    "workers": _Key("a positive integer or 'auto'", lambda v: v == "auto" or _int_in(1)(v),
-                    POPULATION_ALGORITHMS, 1),
+    "epsilon": _Key("a number", _is_number, ("rejection", "mcmc"), _REQUIRED, float),
+    "n_iter": _Key("an integer", _is_int, ("mcmc",), _REQUIRED),
+    "proposal_sd": _Key("a finite positive number", _is_number, ("mcmc",), _REQUIRED, float),
+    "burn_in": _Key("a nonnegative integer", lambda v: _is_int(v) and v >= 0, ("mcmc",), 0),
+    "budget": _Key("a positive integer", lambda v: _is_int(v) and v >= 1),
+    # checked as the worker pool checks it, and kept as written: 'auto' stays 'auto'
+    "workers": _Key("a positive integer or 'auto'", lambda v: True, POPULATION_ALGORITHMS, 1,
+                    lambda v: resolve_workers(v) and v),
     "out_dir": _Key("a path", lambda v: True),
     "name": _Key("a string", lambda v: isinstance(v, str)),
 }
@@ -129,7 +121,7 @@ _RUN_KEYS = {
 _COMPARE_KEYS = {
     "model": _RUN_KEYS["model"],
     "seed": _RUN_KEYS["seed"],
-    "replicates": _Key("a positive integer", _int_in(1), default=_REQUIRED),
+    "replicates": _Key("a positive integer", lambda v: _is_int(v) and v >= 1, default=_REQUIRED),
     "algorithms": _Key("a non-empty list", lambda v: isinstance(v, list) and v != [], default=_REQUIRED),
     "out_dir": _RUN_KEYS["out_dir"],
     "workers": _RUN_KEYS["workers"],
@@ -165,6 +157,8 @@ def _parse_keys(doc: dict, keys: dict, context: str, algorithm: str | None = Non
             raise ConfigError(f"{context}: {name} must be {key.what}, got {value!r}")
         else:
             try:
+                if name in ARG_RULES:
+                    check_arg(name, value, sequential=algorithm in SEQUENTIAL_ALGORITHMS)
                 values[name] = key.convert(value)
             except ValueError as exc:
                 raise ConfigError(f"{context}: {name} {value!r}: {exc}") from None
@@ -175,8 +169,6 @@ def parse_run_config(doc: dict, context: str = "run config") -> RunConfig:
     _check_keys(doc, _RUN_KEYS, context)
     algorithm = _parse_keys(doc, {"algorithm": _RUN_KEYS["algorithm"]}, context)["algorithm"]
     values = _parse_keys(doc, _RUN_KEYS, context, algorithm)
-    if algorithm in SEQUENTIAL_ALGORITHMS and values["n_particles"] < 2:
-        raise ConfigError(f"{context}: {algorithm} needs n_particles >= 2")
     if algorithm == "mcmc" and values["burn_in"] >= values["n_iter"]:
         raise ConfigError(f"{context}: burn_in must be smaller than n_iter")
     return RunConfig(**values, raw=dict(doc))

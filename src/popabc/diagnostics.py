@@ -20,23 +20,20 @@ def ess(weights: np.ndarray) -> float:
     return float(1.0 / np.sum(weights * weights))
 
 
-def weighted_quantile(values: np.ndarray, weights: np.ndarray, q: float) -> float:
-    """Left-continuous inverse of the weighted empirical CDF.
+def weighted_quantiles(values: np.ndarray, weights: np.ndarray, levels) -> list[float]:
+    """Left-continuous inverse of the weighted empirical CDF at each level in (0, 1).
 
-    Returns the smallest sample value whose cumulative weight reaches q.
+    At level q it is the smallest sample value whose cumulative weight reaches
+    q. Every level comes from one stable sort and one cumulative sum.
     """
-    if not 0.0 < q < 1.0:
-        raise ValueError(f"q must lie in (0, 1), got {q}")
+    levels = np.asarray(levels, dtype=float)
+    if not np.all((levels > 0.0) & (levels < 1.0)):
+        raise ValueError(f"levels must lie in (0, 1), got {levels.tolist()}")
     values = np.asarray(values, dtype=float)
     weights = np.asarray(weights, dtype=float)
     if values.ndim != 1 or values.shape != weights.shape:
         raise ValueError("values and weights must be matching 1-d arrays")
     kernel.check_weight_sum(weights)
-    return _quantiles(values, weights, [q])[0]
-
-
-def _quantiles(values: np.ndarray, weights: np.ndarray, levels) -> list[float]:
-    """``weighted_quantile`` at every level, from one stable sort and one cumulative sum."""
     order = np.argsort(values, kind="stable")
     cum = np.cumsum(weights[order])
     idx = np.minimum(np.searchsorted(cum, levels, side="left"), values.size - 1)
@@ -110,7 +107,8 @@ def generation_stats(pop: Population) -> dict:
     at t=1, else its per-dimension variances ``{"tau2": [...]}``.
     """
     mean, var = kernel.weighted_moments(pop.thetas, pop.weights)
-    per_dim = [_quantiles(pop.thetas[:, k], pop.weights, QUANTILE_LEVELS) for k in range(pop.dim)]
+    per_dim = [weighted_quantiles(pop.thetas[:, k], pop.weights, QUANTILE_LEVELS)
+               for k in range(pop.dim)]
     quantiles = {str(q): [col[i] for col in per_dim] for i, q in enumerate(QUANTILE_LEVELS)}
     if pop.scale is None:
         scale = None

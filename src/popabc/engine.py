@@ -45,14 +45,33 @@ CHUNKS_PER_WORKER = 4
 MIN_CHUNK = 64
 
 
+# The range rule of each run argument, stated once as (test, what a valid value is): the
+# engine and samplers check their arguments here, and the config keys named after them.
+ARG_RULES = {
+    "seed": (lambda v: 0 <= v < 2**64, "an unsigned 64-bit integer"),
+    "n_particles": (lambda v: v >= 1, ">= 1"),
+    "sequential n_particles": (lambda v: v >= 2, ">= 2, for the variance of the kernel"),
+    "epsilon": (lambda v: v >= 0, "nonnegative"),
+    "n_iter": (lambda v: v >= 1, ">= 1"),
+    "proposal_sd": (lambda v: np.all((v > 0) & np.isfinite(v)), "a finite positive number"),
+}
+
+
+def check_arg(name: str, value, sequential: bool = False):
+    """``value``, if it keeps the rule for ``name`` (or for PMC and PRC, if ``sequential``)."""
+    test, what = ARG_RULES.get(f"sequential {name}" if sequential else name, ARG_RULES[name])
+    if not test(value):
+        raise ValueError(f"{name} must be {what}, got {value}")
+    return value
+
+
 def attempt_stream(seed: int, t: int, counter: int) -> Generator:
     """Independent RNG stream for one attempt, pure in (seed, t, counter).
 
     The 256-bit Philox counter is laid out as (0, 0, t, counter), leaving
     2**128 draws per stream before any two streams could touch.
     """
-    if not 0 <= seed < 2**64:
-        raise ValueError("seed must be an unsigned 64-bit integer")
+    check_arg("seed", seed)
     return Generator(Philox(key=int(seed), counter=(int(counter) << 192) | (int(t) << 128)))
 
 
@@ -67,10 +86,8 @@ class StreamFactory:
     """
 
     def __init__(self, seed: int):
-        if not 0 <= seed < 2**64:
-            raise ValueError("seed must be an unsigned 64-bit integer")
-        self._bg = Philox(key=int(seed))
-        self._gen = Generator(self._bg)
+        self._gen = attempt_stream(seed, 0, 0)
+        self._bg = self._gen.bit_generator
         self._counter = [0, 0, 0, 0]
         key = self._bg.state["state"]["key"].tolist()
         # buffer_pos 4 marks the buffer as used up, so the first draw reads the counter
@@ -190,11 +207,6 @@ class Population:
         return self.thetas.shape[1]
 
 
-def pick_index(cum_weights, u: float) -> int:
-    """Inverse-CDF lookup: smallest j with cum_weights[j] > u."""
-    return min(bisect.bisect_right(cum_weights, u), len(cum_weights) - 1)
-
-
 def _run_attempt_chunk(args):
     """Evaluate attempts [lo, hi): one simulator call each, support-checked first.
 
@@ -225,7 +237,7 @@ def _run_attempt_chunk(args):
             theta = sample(rng)
         else:
             while True:
-                j = min(bisect_right(cumw, rng.random()), last)  # pick_index, inlined
+                j = min(bisect_right(cumw, rng.random()), last)  # inverse-CDF ancestor pick
                 theta = perturb(rows[j], scale, rng)
                 if in_support(theta):
                     break

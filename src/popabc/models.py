@@ -45,9 +45,13 @@ class UniformBoxPrior:
             raise ValueError("prior bounds must be finite")
         if not np.all(lows < highs):
             raise ValueError("each dimension needs low < high")
+        with np.errstate(over="ignore"):  # finite bounds can lie further apart than any float
+            log_volume = float(np.sum(np.log(highs - lows)))
+        if not math.isfinite(log_volume):
+            raise ValueError("prior box is too wide: its width or log-volume is not finite")
         object.__setattr__(self, "lows", lows)
         object.__setattr__(self, "highs", highs)
-        object.__setattr__(self, "_log_volume", float(np.sum(np.log(highs - lows))))
+        object.__setattr__(self, "_log_volume", log_volume)
         object.__setattr__(self, "_bounds", (lows.tolist(), highs.tolist()))
 
     @property
@@ -144,26 +148,6 @@ def _check_thetas(thetas, dim: int) -> np.ndarray:
     return thetas
 
 
-def distance(a, b, scale: np.ndarray | None = None) -> float:
-    """Euclidean distance between two summary vectors.
-
-    ``scale`` divides each coordinate first (used to put summaries of
-    different magnitudes on a common footing).
-    """
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    b = np.atleast_1d(np.asarray(b, dtype=float))
-    if a.shape != b.shape:
-        raise ValueError(f"summary length mismatch: {a.shape} vs {b.shape}")
-    return _norm(a - b, scale)
-
-
-def _norm(diff: np.ndarray, scale: np.ndarray | None) -> float:
-    """Euclidean length of ``diff``, each coordinate divided by ``scale`` first."""
-    if scale is not None:
-        diff = diff / scale
-    return math.sqrt(np.dot(diff, diff))
-
-
 @dataclass(frozen=True)
 class ModelSpec:
     """Bundle of prior, simulator and observed summaries for one problem.
@@ -181,8 +165,8 @@ class ModelSpec:
 
     def __post_init__(self):
         observed = np.atleast_1d(np.asarray(self.observed, dtype=float))
-        if observed.ndim != 1:
-            raise ValueError(f"observed must be a 1-d vector of summaries, got shape "
+        if observed.ndim != 1 or observed.size == 0:
+            raise ValueError(f"observed must be a non-empty 1-d vector of summaries, got shape "
                              f"{observed.shape}")
         if not np.all(np.isfinite(observed)):
             raise ValueError("observed summaries must be finite")
@@ -209,7 +193,6 @@ class ModelSpec:
                 f"simulator returned {summaries.shape[0]} summaries, "
                 f"expected {self.observed.size}"
             )
-        # _norm's arithmetic, inlined: this runs once per simulation
         diff = summaries - self.observed
         if self.summary_scale is not None:
             diff = diff / self.summary_scale

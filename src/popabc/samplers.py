@@ -92,13 +92,6 @@ def _normalize_log_weights(log_w: np.ndarray) -> np.ndarray:
     return w / w.sum()
 
 
-def _validate_common(model: ModelSpec, n_particles: int, seed: int):
-    if n_particles < 1:
-        raise ValueError("n_particles must be >= 1")
-    if not 0 <= int(seed) < 2**64:
-        raise ValueError("seed must be an unsigned 64-bit integer")
-
-
 def abc_rejection(
     model: ModelSpec,
     epsilon: float,
@@ -109,9 +102,8 @@ def abc_rejection(
     workers: int | str = 1,
 ) -> Population:
     """Plain rejection ABC: prior draws accepted within epsilon, equal weights."""
-    _validate_common(model, n_particles, seed)
-    if not epsilon >= 0:
-        raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
+    engine.check_arg("n_particles", n_particles)
+    engine.check_arg("epsilon", epsilon)
     with engine.WorkerPool(workers, model) as pool:
         return engine.initial_generation(
             model, epsilon, n_particles, seed=seed, budget=budget, pool=pool
@@ -129,9 +121,7 @@ def _sequential_abc(
     weighting: str,
     on_generation=None,
 ) -> list[Population]:
-    _validate_common(model, n_particles, seed)
-    if n_particles < 2:
-        raise ValueError("sequential samplers need n_particles >= 2")
+    engine.check_arg("n_particles", n_particles, sequential=True)
     if not isinstance(schedule, ToleranceSchedule):
         schedule = ToleranceSchedule(tuple(schedule))
     remaining = None if budget is None else int(budget)
@@ -258,13 +248,12 @@ def abc_mcmc(
     step is one simulator call at most. The chain is built from its accepted
     states and their run lengths at the end.
     """
-    if n_iter < 1:
-        raise ValueError("n_iter must be >= 1")
+    engine.check_arg("n_iter", n_iter)
     d = model.dim
-    sd = np.asarray(proposal_sd, dtype=float)
-    if sd.shape not in ((), (1,), (d,)) or not np.all((sd > 0) & np.isfinite(sd)):
-        raise ValueError(f"proposal_sd must be one finite positive SD or {d}, one per "
-                         f"model dimension; got {np.asarray(proposal_sd).tolist()}")
+    sd = engine.check_arg("proposal_sd", np.asarray(proposal_sd, dtype=float))
+    if sd.shape not in ((), (1,), (d,)):
+        raise ValueError(f"proposal_sd must be one SD or {d}, one per model dimension; "
+                         f"got {sd.tolist()}")
     sd = np.broadcast_to(sd, (d,))
     found = abc_rejection(model, epsilon, 1, seed=seed, budget=budget)
     theta = found.thetas[0]

@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 import yaml
 
-from popabc import benchmarks, kernel, persist
+from popabc import benchmarks, engine, kernel, persist
 from popabc.benchmarks import get_model, mixture
 from popabc.cli import execute_compare, execute_run, main
 from popabc.config import load_run_config, parse_compare_config, parse_run_config
 from popabc.errors import ConfigError
 from popabc.models import ModelSpec, UniformBoxPrior
+from popabc.samplers import abc_mcmc, abc_pmc, abc_rejection
+from population_files import read_population_csv, read_report
 
 
 def write_config(tmp_path, doc, name="config.yaml"):
@@ -132,6 +134,30 @@ def test_parse_rejects_bad_seed():
         parse_run_config(pmc_doc(seed=2**64))
 
 
+@pytest.mark.parametrize("doc, library", [
+    (pmc_doc(seed=-1), lambda: engine.attempt_stream(-1, 1, 0)),
+    (pmc_doc(n_particles=1), lambda: abc_pmc(get_model("mixture-toy"), (1.0,), 1, seed=1)),
+    ({"algorithm": "rejection", "model": "mixture-toy", "seed": 1, "n_particles": 0,
+      "epsilon": 1.0}, lambda: abc_rejection(get_model("mixture-toy"), 1.0, 0, seed=1)),
+    ({"algorithm": "rejection", "model": "mixture-toy", "seed": 1, "n_particles": 5,
+      "epsilon": -0.5}, lambda: abc_rejection(get_model("mixture-toy"), -0.5, 5, seed=1)),
+    ({"algorithm": "mcmc", "model": "mixture-toy", "seed": 1, "epsilon": 0.5, "n_iter": 0,
+      "proposal_sd": 1.0}, lambda: abc_mcmc(get_model("mixture-toy"), 0.5, 0, 1.0, seed=1)),
+    ({"algorithm": "mcmc", "model": "mixture-toy", "seed": 1, "epsilon": 0.5, "n_iter": 10,
+      "proposal_sd": 0.0}, lambda: abc_mcmc(get_model("mixture-toy"), 0.5, 10, 0.0, seed=1)),
+    (pmc_doc(workers=0), lambda: engine.resolve_workers(0)),
+], ids=["seed", "pmc-n_particles", "rejection-n_particles", "epsilon", "n_iter", "proposal_sd",
+        "workers"])
+def test_config_reports_the_librarys_own_rule(doc, library):
+    # each range rule is stated once, in the library: a config value out of range is
+    # refused with the message a library call with that value raises
+    with pytest.raises(ValueError) as lib:
+        library()
+    with pytest.raises(ConfigError) as cfg:
+        parse_run_config(doc)
+    assert str(cfg.value).endswith(f": {lib.value}")
+
+
 def test_parse_mcmc_requires_chain_keys():
     doc = {"algorithm": "mcmc", "model": "mixture-toy", "seed": 1, "epsilon": 0.5}
     with pytest.raises(ConfigError, match="n_iter"):
@@ -182,7 +208,7 @@ def test_run_pmc_happy_path(tmp_path, capsys):
     assert main(["run", "--config", path]) == 0
     assert (out_dir / "gen_001.csv").exists()
     assert (out_dir / "gen_002.csv").exists()
-    report = persist.read_report(out_dir / "report.json")
+    report = read_report(out_dir / "report.json")
     assert report["status"] == "ok"
     assert report["partial"] is None
     assert report["config"]["seed"] == 42
@@ -193,7 +219,7 @@ def test_run_pmc_happy_path(tmp_path, capsys):
     assert report["oracle_comparison"] is not None
     # populations on disk agree with the report
     for gen in report["generations"]:
-        t, thetas, weights, dists = persist.read_population_csv(
+        t, thetas, weights, dists = read_population_csv(
             out_dir / persist.population_filename(gen["t"])
         )
         assert t == gen["t"]
@@ -214,12 +240,12 @@ def test_run_records_proposal_scales(tmp_path, monkeypatch, capsys):
     out_dir = tmp_path / "out"
     doc = pmc_doc(model="plane", out_dir=str(out_dir))
     assert main(["run", "--config", write_config(tmp_path, doc)]) == 0
-    report = persist.read_report(out_dir / "report.json")
+    report = read_report(out_dir / "report.json")
     assert report["generations"][0]["scale"] is None
     scale = report["generations"][1]["scale"]
     assert set(scale) == {"tau2"}
     # twice the weighted variance of the generation it perturbs
-    _, thetas, weights, _ = persist.read_population_csv(out_dir / "gen_001.csv")
+    _, thetas, weights, _ = read_population_csv(out_dir / "gen_001.csv")
     var = weights @ (thetas - weights @ thetas) ** 2
     assert np.array(scale["tau2"]) == pytest.approx(2.0 * var, rel=1e-12)
     # the kernel has no setting: a kernel key, in either former mode, is unknown
@@ -240,7 +266,7 @@ def test_run_unreachable_tolerance_flags_partial(tmp_path):
     assert main(["run", "--config", path]) == 3
     assert (out_dir / "gen_001.csv").exists()
     assert not (out_dir / "gen_002.csv").exists()
-    report = persist.read_report(out_dir / "report.json")
+    report = read_report(out_dir / "report.json")
     assert report["status"] == "budget-exhausted"
     assert report["error"]
     assert len(report["generations"]) == 1
@@ -273,7 +299,7 @@ def test_degenerate_population_is_a_failed_run_with_no_partial(tmp_path, monkeyp
     assert not (out_dir / "gen_002.csv").exists()
     assert [g["t"] for g in report["generations"]] == [1] and len(populations) == 1
     assert report["totals"]["sims_used"] == report["generations"][0]["sims_used"] == 1177
-    assert persist.read_report(out_dir / "report.json")["status"] == "degenerate-population"
+    assert read_report(out_dir / "report.json")["status"] == "degenerate-population"
 
 
 def test_run_unknown_model(tmp_path, capsys):
@@ -294,7 +320,7 @@ def test_run_rejection(tmp_path):
     }
     path = write_config(tmp_path, doc)
     assert main(["run", "--config", path]) == 0
-    report = persist.read_report(out_dir / "report.json")
+    report = read_report(out_dir / "report.json")
     assert len(report["generations"]) == 1
     assert report["generations"][0]["epsilon"] == 1.0
 
@@ -331,10 +357,10 @@ def test_run_mcmc(tmp_path):
     }
     path = write_config(tmp_path, doc)
     assert main(["run", "--config", path]) == 0
-    report = persist.read_report(out_dir / "report.json")
+    report = read_report(out_dir / "report.json")
     assert report["mcmc"]["n_iter"] == 3000
     assert report["mcmc"]["burn_in"] == 500
-    t, thetas, weights, dists = persist.read_population_csv(out_dir / "gen_001.csv")
+    t, thetas, weights, dists = read_population_csv(out_dir / "gen_001.csv")
     assert thetas.shape[0] == 2500
     assert np.all(dists <= 0.5)
 
@@ -346,7 +372,7 @@ def test_mcmc_reports_the_chains_acceptance_rate(tmp_path, capsys):
            "n_iter": 2000, "burn_in": 100, "proposal_sd": 1.5, "out_dir": str(out_dir)}
     assert main(["run", "--config", write_config(tmp_path, doc)]) == 0
     captured = capsys.readouterr()
-    report = persist.read_report(out_dir / "report.json")
+    report = read_report(out_dir / "report.json")
     rate = report["mcmc"]["acceptance_rate"]
     assert report["generations"][0]["acceptance_rate"] == rate <= 1.0
     assert f"acc={rate:.3g}" in captured.err and f"acc={rate:.3g}" in captured.out
@@ -364,7 +390,7 @@ def test_run_coalescent_small(tmp_path):
     }
     path = write_config(tmp_path, doc)
     assert main(["run", "--config", path]) == 0
-    report = persist.read_report(out_dir / "report.json")
+    report = read_report(out_dir / "report.json")
     assert report["oracle_comparison"] is None
 
 
@@ -395,7 +421,7 @@ def test_compare_happy_path(tmp_path, capsys):
     out_dir = tmp_path / "cmp"
     path = write_config(tmp_path, compare_doc(out_dir))
     assert main(["compare", "--config", path]) == 0
-    report = persist.read_report(out_dir / "comparison.json")
+    report = read_report(out_dir / "comparison.json")
     assert set(report["algorithms"]) == {"pmc", "prc", "mcmc"}
     for block in report["algorithms"].values():
         assert len(block["replicates"]) == 2
@@ -417,7 +443,7 @@ def test_compare_budget_exhaustion_reports_partial_generation(tmp_path):
     doc = dict(compare_doc(tmp_path / "cmp"), budget=100)
     path = write_config(tmp_path, doc)
     assert main(["compare", "--config", path]) == 3
-    report = persist.read_report(tmp_path / "cmp" / "comparison.json")
+    report = read_report(tmp_path / "cmp" / "comparison.json")
     assert report["status"] == "budget-exhausted"
     assert report["partial"]["requested"] == 150
     assert report["partial"]["sims_used"] == 100
@@ -501,7 +527,7 @@ def test_compare_same_algorithm_twice_same_seed_identical(tmp_path):
     }
     path = write_config(tmp_path, doc)
     assert main(["compare", "--config", path]) == 0
-    report = persist.read_report(out_dir / "comparison.json")
+    report = read_report(out_dir / "comparison.json")
     labels = list(report["algorithms"])
     assert len(labels) == 2
     first = report["algorithms"][labels[0]]["replicates"][0]

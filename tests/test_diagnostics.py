@@ -10,7 +10,7 @@ from popabc.diagnostics import (
     ess,
     generation_stats,
     weighted_ecdf,
-    weighted_quantile,
+    weighted_quantiles,
 )
 from popabc.kernel import weighted_moments
 from popabc.samplers import Population
@@ -80,27 +80,44 @@ def test_ess_decreases_when_mass_concentrates(weights, fraction):
 def test_weighted_quantile_median_of_three():
     values = np.array([1.0, 2.0, 3.0])
     weights = np.full(3, 1 / 3)
-    assert weighted_quantile(values, weights, 0.5) == 2.0
+    assert weighted_quantiles(values, weights, [0.5]) == [2.0]
 
 
 def test_weighted_quantile_mass_dominant_atom():
-    assert weighted_quantile(np.array([0.0, 10.0]), np.array([0.9, 0.1]), 0.5) == 0.0
+    assert weighted_quantiles(np.array([0.0, 10.0]), np.array([0.9, 0.1]), [0.5]) == [0.0]
+
+
+def test_weighted_quantiles_take_the_lower_value_at_a_cumulative_weight():
+    # left-continuous: at q equal to a cumulative weight, the value that reaches q
+    values = np.array([4.0, 1.0, 3.0, 2.0])
+    weights = np.full(4, 0.25)  # cumulative weights 0.25, 0.5, 0.75, 1 are exact
+    assert weighted_quantiles(values, weights, [0.25, 0.5, 0.75]) == [1.0, 2.0, 3.0]
 
 
 def test_weighted_quantile_normal_tail():
     rng = np.random.default_rng(10)
     values = rng.standard_normal(10_000)
     weights = np.full(10_000, 1e-4)
-    got = weighted_quantile(values, weights, 0.975)
+    (got,) = weighted_quantiles(values, weights, [0.975])
     assert abs(got - 1.9600) < 0.08
 
 
 def test_weighted_quantile_rejects_bad_q():
     values = np.array([1.0, 2.0])
     weights = np.array([0.5, 0.5])
-    for q in (0.0, 1.0, -0.2, 1.7):
+    for q in (0.0, 1.0, -0.2, 1.7, np.nan):
         with pytest.raises(ValueError):
-            weighted_quantile(values, weights, q)
+            weighted_quantiles(values, weights, [q])
+        with pytest.raises(ValueError):  # one bad level among good ones
+            weighted_quantiles(values, weights, [0.5, q])
+
+
+def test_weighted_quantiles_checks_values_and_weights():
+    for values, weights in ((np.array([1.0, 2.0]), np.array([1.0])),
+                            (np.array([[1.0, 2.0]]), np.array([[0.5, 0.5]])),
+                            (np.array([1.0, 2.0]), np.array([0.5, 0.6]))):
+        with pytest.raises(ValueError):
+            weighted_quantiles(values, weights, [0.5])
 
 
 @given(st.lists(st.floats(min_value=-100, max_value=100), min_size=3, max_size=30))
@@ -109,7 +126,8 @@ def test_weighted_quantile_monotone_in_q(values):
     values = np.array(values)
     weights = np.full(len(values), 1.0 / len(values))
     qs = [0.1, 0.3, 0.5, 0.7, 0.9]
-    results = [weighted_quantile(values, weights, q) for q in qs]
+    results = weighted_quantiles(values, weights, qs)
+    assert results == [weighted_quantiles(values, weights, [q])[0] for q in qs]
     assert all(a <= b for a, b in zip(results, results[1:]))
 
 
@@ -208,7 +226,7 @@ def test_generation_stats_fields():
     assert stats["weighted_mean"][0] == pytest.approx(float(mean[0]), rel=1e-12)
     assert stats["weighted_var"][0] == pytest.approx(float(var[0]), rel=1e-12)
     assert set(stats["quantiles"]) == {"0.025", "0.25", "0.5", "0.75", "0.975"}
-    assert stats["quantiles"]["0.5"][0] == weighted_quantile(thetas[:, 0], weights, 0.5)
+    assert stats["quantiles"]["0.5"][0] == weighted_quantiles(thetas[:, 0], weights, [0.5])[0]
     assert stats["scale"] is None
 
 

@@ -1,3 +1,4 @@
+import bisect
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from popabc.cli import execute_run
 from popabc.config import parse_run_config
 from popabc.errors import BudgetExhausted, ConfigError, Stalled
 from popabc.kernel import KernelScale
-from popabc.models import IndependentNormalPrior, ModelSpec, UniformBoxPrior, distance
+from popabc.models import IndependentNormalPrior, ModelSpec, UniformBoxPrior
 from popabc.samplers import abc_pmc, abc_rejection
 
 
@@ -258,8 +259,8 @@ def test_stall_guard_allows_a_million_attempts(n):
 
 def reference_chunk(model, epsilon, seed, t, lo, hi, prev_thetas, prev_cumw, scale):
     """The attempt loop with plain formulas: a fresh stream per attempt, a
-    searchsorted ancestor, a (1, d) noise block, an array support check and
-    ``models.distance``. Also returns how many proposals left the support."""
+    searchsorted ancestor, a (1, d) noise block, an array support check and a
+    scaled Euclidean norm. Also returns how many proposals left the support."""
     prior = model.prior
     uniform = isinstance(prior, UniformBoxPrior)
     thetas, dists, ancestors, redraws = [], [], [], 0
@@ -278,7 +279,10 @@ def reference_chunk(model, epsilon, seed, t, lo, hi, prev_thetas, prev_cumw, sca
                 if not uniform or (np.all(theta >= prior.lows) and np.all(theta <= prior.highs)):
                     break
                 redraws += 1
-        dists.append(distance(model.simulator(theta, rng), model.observed, model.summary_scale))
+        diff = np.atleast_1d(np.asarray(model.simulator(theta, rng), dtype=float)) - model.observed
+        if model.summary_scale is not None:
+            diff = diff / model.summary_scale
+        dists.append(math.sqrt(np.dot(diff, diff)))
         thetas.append(theta)
         ancestors.append(j)
     dists = np.array(dists)
@@ -320,8 +324,9 @@ def test_attempt_chunk_equals_reference_loop(prior, scale, t):
 def call_by_call_chunk(model, epsilon, seed, t, lo, hi, prev_thetas, prev_cumw, scale):
     """``engine._run_attempt_chunk`` as it was written before its per-attempt callables
     were bound once per chunk, with the earlier bodies of ``ModelSpec.simulate_distance``
-    (an ``ndmin=1`` copy and ``models._norm``), ``kernel.perturb`` and
-    ``UniformBoxPrior.in_support`` (a checked copy of theta) written out inline."""
+    (an ``ndmin=1`` copy and a Euclidean norm), ``kernel.perturb`` and
+    ``UniformBoxPrior.in_support`` (a checked copy of theta) and the inverse-CDF
+    ancestor pick written out inline."""
     m = hi - lo
     thetas = np.empty((m, model.dim))
     dists = np.empty(m)
@@ -336,7 +341,7 @@ def call_by_call_chunk(model, epsilon, seed, t, lo, hi, prev_thetas, prev_cumw, 
             theta = prior.sample(rng)
         else:
             while True:
-                j = engine.pick_index(cumw, rng.random())
+                j = min(bisect.bisect_right(cumw, rng.random()), len(cumw) - 1)
                 theta_star = np.asarray(rows[j], dtype=float)
                 theta = theta_star + rng.standard_normal(scale.dim) * scale.sd
                 values = np.array(theta, dtype=float, ndmin=1).tolist()

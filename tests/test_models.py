@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,8 +10,24 @@ from popabc.models import (
     IndependentNormalPrior,
     ModelSpec,
     UniformBoxPrior,
-    distance,
 )
+
+
+def plain_distance(a, b, scale=None) -> float:
+    """Euclidean distance between two summary vectors, each coordinate divided by
+    ``scale`` first: the formula ``ModelSpec.simulate_distance`` must reproduce."""
+    diff = np.atleast_1d(np.asarray(a, dtype=float)) - np.atleast_1d(np.asarray(b, dtype=float))
+    if scale is not None:
+        diff = diff / np.asarray(scale, dtype=float)
+    return math.sqrt(np.dot(diff, diff))
+
+
+def distance(summaries, observed, scale=None) -> float:
+    """``simulate_distance`` of a model whose simulator always returns ``summaries``."""
+    model = ModelSpec(name="fixed", prior=UniformBoxPrior([0.0], [1.0]),
+                      simulator=lambda theta, rng: np.array(summaries, dtype=float),
+                      observed=observed, summary_scale=scale)
+    return model.simulate_distance(np.array([0.5]), np.random.default_rng(0))
 
 
 def test_uniform_sample_stays_in_support():
@@ -91,7 +108,7 @@ def test_distance_length_mismatch():
 
 
 def test_distance_with_scale():
-    got = distance([2.0, 10.0], [0.0, 0.0], scale=np.array([2.0, 10.0]))
+    got = distance([2.0, 10.0], [0.0, 0.0], scale=[2.0, 10.0])
     assert got == pytest.approx(math.sqrt(2.0), rel=1e-12)
 
 
@@ -146,7 +163,8 @@ def test_in_support_rejects_nan_and_wrong_length():
 def test_simulate_distance_accepts_scalar_and_list_returns(returned):
     model = ModelSpec(name="fixed", prior=UniformBoxPrior([0.0], [1.0]),
                       simulator=lambda theta, rng: returned, observed=[0.5])
-    assert model.simulate_distance(np.array([0.5]), np.random.default_rng(0)) == distance(0.7, 0.5)
+    got = model.simulate_distance(np.array([0.5]), np.random.default_rng(0))
+    assert got == plain_distance(0.7, 0.5)
 
 
 def test_modelspec_validates_simulator_output():
@@ -191,14 +209,36 @@ def test_modelspec_rejects_infinite_scale_and_2d_observed():
                   observed=[[0.0, 0.0]])
 
 
+def test_modelspec_rejects_empty_observed():
+    # with no summaries every distance is 0.0, so every attempt would be accepted
+    with pytest.raises(ValueError, match="observed"):
+        ModelSpec(name="empty", prior=UniformBoxPrior([0.0], [1.0]),
+                  simulator=lambda theta, rng: np.array([]), observed=[])
+
+
+@pytest.mark.parametrize("lows, highs", [([-1e308], [1e308]), ([0.0, -1.5e308], [1.0, 1.5e308])],
+                         ids=["1-d", "2-d"])
+def test_uniform_prior_refuses_a_box_wider_than_any_float(lows, highs):
+    # the width overflows to inf: the density would be 0 inside the support, and a draw
+    # would fail with an untyped OverflowError. It is refused, and without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="too wide"):
+            UniformBoxPrior(lows, highs)
+    # a box whose width is still a float builds, with a finite density and draws inside it
+    prior = UniformBoxPrior([-8e307], [8e307])
+    assert math.isfinite(prior.logpdf([0.0]))
+    assert prior.in_support(prior.sample(np.random.default_rng(0)))
+
+
 def fixed_model(returned, observed=(0.5,)):
     return ModelSpec(name="fixed", prior=UniformBoxPrior([0.0], [1.0]),
                      simulator=lambda theta, rng: returned, observed=list(observed))
 
 
 def test_simulate_distance_takes_a_0d_array_as_one_summary():
-    model = fixed_model(np.array(0.7))
-    assert model.simulate_distance(np.array([0.5]), np.random.default_rng(0)) == distance(0.7, 0.5)
+    got = fixed_model(np.array(0.7)).simulate_distance(np.array([0.5]), np.random.default_rng(0))
+    assert got == plain_distance(0.7, 0.5)
 
 
 @pytest.mark.parametrize("returned, observed", [(np.array([[0.7]]), (0.5,)),
@@ -224,7 +264,7 @@ def test_simulate_distance_matches_models_distance_bit_for_bit(summaries, scale)
                       simulator=lambda theta, rng: np.array(summaries), observed=observed,
                       summary_scale=scale)
     got = model.simulate_distance(np.array([0.5]), np.random.default_rng(0))
-    want = distance(summaries, observed, None if scale is None else np.array(scale))
+    want = plain_distance(summaries, observed, scale)
     assert got == want
 
 

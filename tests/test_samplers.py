@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from popabc import engine, kernel
-from popabc.engine import pick_index
 from popabc.errors import BudgetExhausted, DegeneratePopulation
 from popabc.kernel import KernelScale, check_weight_sum
 from popabc.models import IndependentNormalPrior, ModelSpec, UniformBoxPrior
@@ -60,26 +59,32 @@ def test_schedule_requires_strict_decrease():
 
 # ---------------------------------------------------------------- resampling
 # The engine resamples by inverse CDF over the cumulative weights of a
-# Population, whose weights check_weight_sum has checked.
+# Population, whose weights check_weight_sum has checked. These tests read the
+# ancestors that one chunk of attempts picks, on a model where every proposal
+# stays inside the support, so no pick is redrawn.
+
+
+def resampled_ancestors(weights, attempts: int, seed: int) -> np.ndarray:
+    model = ModelSpec(name="wide", prior=UniformBoxPrior([-10.0], [10.0]),
+                      simulator=lambda theta, rng: theta, observed=[0.0])
+    prev_thetas = np.zeros((len(weights), 1))
+    args = (model, 100.0, seed, 2, 0, attempts, prev_thetas, np.cumsum(weights),
+            KernelScale(tau2=[1e-4]))
+    _, _, _, ancestors, accept = engine._run_attempt_chunk(args)
+    assert np.all(accept)
+    return ancestors
 
 
 def test_resample_single_particle():
-    rng = np.random.default_rng(0)
-    assert pick_index(np.cumsum([1.0]), rng.random()) == 0
+    assert np.all(resampled_ancestors([1.0], 50, seed=0) == 0)
 
 
 def test_resample_excludes_zero_weight():
-    rng = np.random.default_rng(1)
-    for _ in range(200):
-        assert pick_index(np.cumsum([0.0, 1.0]), rng.random()) == 1
+    assert np.all(resampled_ancestors([0.0, 1.0], 200, seed=1) == 1)
 
 
 def test_resample_frequencies():
-    rng = np.random.default_rng(2)
-    cum_weights = np.cumsum([0.5, 0.5])
-    counts = np.zeros(2)
-    for _ in range(100_000):
-        counts[pick_index(cum_weights, rng.random())] += 1
+    counts = np.bincount(resampled_ancestors([0.5, 0.5], 100_000, seed=2), minlength=2)
     assert abs(counts[0] / 100_000 - 0.5) < 0.01
 
 
