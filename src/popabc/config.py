@@ -110,7 +110,7 @@ _RUN_KEYS = {
     "n_iter": _Key("an integer", _is_int, ("mcmc",), _REQUIRED),
     "proposal_sd": _Key("a finite positive number", _is_number, ("mcmc",), _REQUIRED, float),
     "burn_in": _Key("a nonnegative integer", lambda v: _is_int(v) and v >= 0, ("mcmc",), 0),
-    "budget": _Key("a positive integer", lambda v: _is_int(v) and v >= 1),
+    "budget": _Key("an integer", _is_int),
     # checked as the worker pool checks it, and kept as written: 'auto' stays 'auto'
     "workers": _Key("a positive integer or 'auto'", lambda v: True, POPULATION_ALGORITHMS, 1,
                     lambda v: resolve_workers(v) and v),

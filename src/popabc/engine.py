@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import numbers
 import os
 import pickle
 from concurrent.futures import ProcessPoolExecutor
@@ -51,9 +52,11 @@ ARG_RULES = {
     "seed": (lambda v: 0 <= v < 2**64, "an unsigned 64-bit integer"),
     "n_particles": (lambda v: v >= 1, ">= 1"),
     "sequential n_particles": (lambda v: v >= 2, ">= 2, for the variance of the kernel"),
-    "epsilon": (lambda v: v >= 0, "nonnegative"),
+    "epsilon": (lambda v: 0 <= v < math.inf, "nonnegative and finite"),
     "n_iter": (lambda v: v >= 1, ">= 1"),
     "proposal_sd": (lambda v: np.all((v > 0) & np.isfinite(v)), "a finite positive number"),
+    "budget": (lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 1,
+               "a positive integer"),
 }
 
 
@@ -65,28 +68,29 @@ def check_arg(name: str, value, sequential: bool = False):
     return value
 
 
-def attempt_stream(seed: int, t: int, counter: int) -> Generator:
-    """Independent RNG stream for one attempt, pure in (seed, t, counter).
+def budget_limit(budget) -> float:
+    """Simulator calls a run may spend: ``budget``, or no limit if it is None."""
+    return math.inf if budget is None else int(check_arg("budget", budget))
 
-    The 256-bit Philox counter is laid out as (0, 0, t, counter), leaving
-    2**128 draws per stream before any two streams could touch.
-    """
-    check_arg("seed", seed)
-    return Generator(Philox(key=int(seed), counter=(int(counter) << 192) | (int(t) << 128)))
+
+def attempt_stream(seed: int, t: int, counter: int) -> Generator:
+    """Independent RNG stream for one attempt, pure in (seed, t, counter)."""
+    return StreamFactory(seed).stream(t, counter)
 
 
 class StreamFactory:
     """Reusable source of attempt streams for one seed.
 
-    ``stream(t, counter)`` yields draws bit-identical to
-    ``attempt_stream(seed, t, counter)`` but resets one Philox state in
-    place instead of constructing fresh objects, which matters in the
-    per-attempt hot loop. The state is held as Python lists, which the
-    state setter reads faster than arrays.
+    ``stream(t, counter)`` lays the 256-bit Philox counter out as
+    (0, 0, t, counter), leaving 2**128 draws per stream before any two
+    streams could touch. It resets one Philox state in place instead of
+    constructing fresh objects, which matters in the per-attempt hot loop.
+    The state is held as Python lists, which the state setter reads faster
+    than arrays.
     """
 
     def __init__(self, seed: int):
-        self._gen = attempt_stream(seed, 0, 0)
+        self._gen = Generator(Philox(key=int(check_arg("seed", seed))))
         self._bg = self._gen.bit_generator
         self._counter = [0, 0, 0, 0]
         key = self._bg.state["state"]["key"].tolist()
@@ -244,7 +248,7 @@ def _run_attempt_chunk(args):
             ancestors[i] = j
         dists[i] = simulate_distance(theta, rng)
         thetas[i] = theta
-    return lo, thetas, dists, ancestors, dists <= epsilon
+    return thetas, dists, ancestors, dists <= epsilon
 
 
 def _wave_size(n: int, accepted: int, attempted: int) -> int:
@@ -283,38 +287,35 @@ def _split_chunks(start: int, size: int, workers: int):
 def _collect(
     model: ModelSpec,
     epsilon: float,
-    t: int,
     n: int,
     seed: int,
-    budget,
+    budget: float,
     pool: WorkerPool,
-    prev_thetas=None,
-    prev_weights=None,
-    scale=None,
+    prev: Population | None = None,
+    scale: kernel.KernelScale | None = None,
 ) -> Population:
-    limit = math.inf if budget is None else int(budget)
-    prev_cumw = None if prev_weights is None else np.cumsum(prev_weights)
+    t = 1 if prev is None else prev.t + 1
+    prev_thetas = None if prev is None else prev.thetas
+    prev_cumw = None if prev is None else np.cumsum(prev.weights)
     kept_thetas, kept_dists, kept_anc = [], [], []
     accepted = 0
     attempted = 0
     dead_waves = 0  # waves in a row that accepted nothing
     while accepted < n:
-        remaining = limit - attempted
+        remaining = budget - attempted
         if remaining <= 0:
             raise BudgetExhausted(n, accepted, attempted)
         if dead_waves == STALL_WAVES:
             raise Stalled(n, accepted, attempted, STALL_WAVES)
         wave = _wave_size(n, accepted, attempted)
         if remaining < wave:
-            wave = int(remaining)
+            wave = remaining
         chunk_args = [
             (model, epsilon, seed, t, lo, hi, prev_thetas, prev_cumw, scale)
             for lo, hi in _split_chunks(attempted, wave, pool.workers)
         ]
         before = accepted
-        for _, thetas, dists, ancestors, accept in pool.map_chunks(
-            _run_attempt_chunk, chunk_args
-        ):
+        for thetas, dists, ancestors, accept in pool.map_chunks(_run_attempt_chunk, chunk_args):
             if accepted < n and np.any(accept):
                 kept_thetas.append(thetas[accept])
                 kept_dists.append(dists[accept])
@@ -324,7 +325,7 @@ def _collect(
         dead_waves = dead_waves + 1 if accepted == before else 0
     thetas = np.concatenate(kept_thetas)[:n]
     dists = np.concatenate(kept_dists)[:n]
-    ancestors = np.concatenate(kept_anc)[:n] if prev_thetas is not None else None
+    ancestors = None if prev is None else np.concatenate(kept_anc)[:n]
     return Population(t, float(epsilon), thetas, np.full(n, 1.0 / n), dists, scale, attempted,
                       ancestors)
 
@@ -335,34 +336,27 @@ def initial_generation(
     n: int,
     *,
     seed: int,
-    budget=None,
+    budget: float = math.inf,
     pool: WorkerPool,
 ) -> Population:
     """First generation: prior draws accepted within epsilon, with equal weights."""
-    return _collect(model, epsilon, 1, n, seed, budget, pool)
+    return _collect(model, epsilon, n, seed, budget, pool)
 
 
 def propagate_generation(
     model: ModelSpec,
     epsilon: float,
-    t: int,
-    prev_thetas: np.ndarray,
-    prev_weights: np.ndarray,
+    prev: Population,
     scale: kernel.KernelScale,
     n: int,
     *,
     seed: int,
-    budget=None,
+    budget: float = math.inf,
     pool: WorkerPool,
 ) -> Population:
-    """Generation t >= 2: resample, perturb, accept within epsilon; equal weights.
+    """Generation ``prev.t + 1``: resample ``prev``, perturb, accept within epsilon; equal weights.
 
     The i-th accepted particle is the i-th successful attempt in
     attempt-counter order, independent of scheduling.
     """
-    if t < 2:
-        raise ValueError("propagate_generation is for generations t >= 2")
-    return _collect(
-        model, epsilon, t, n, seed, budget, pool,
-        prev_thetas=prev_thetas, prev_weights=prev_weights, scale=scale,
-    )
+    return _collect(model, epsilon, n, seed, budget, pool, prev, scale)

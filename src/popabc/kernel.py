@@ -42,10 +42,8 @@ class KernelScale:
 
     def __post_init__(self):
         tau2 = np.atleast_1d(np.asarray(self.tau2, dtype=float))
-        if tau2.ndim != 1 or not np.all(tau2 > 0):
-            raise ValueError("tau2 must be a 1-d array of positive variances")
-        if not np.all(np.isfinite(tau2)):  # an infinite variance passes the check above
-            raise ValueError("tau2 must be finite")
+        if tau2.ndim != 1 or not np.all((tau2 > 0) & np.isfinite(tau2)):
+            raise ValueError("tau2 must be a 1-d array of finite positive variances")
         object.__setattr__(self, "tau2", tau2)
         object.__setattr__(self, "sd", np.sqrt(tau2))
 
@@ -88,14 +86,15 @@ def adapt_scale(thetas: np.ndarray, weights: np.ndarray) -> KernelScale:
 
     Raises DegeneratePopulation when any dimension's weighted variance falls
     below the floor, which signals particle collapse rather than a usable
-    spread estimate.
+    spread estimate, or when twice it is not a finite float.
     """
-    _, var = weighted_moments(thetas, weights)
-    if np.any(var < VARIANCE_FLOOR):
-        raise DegeneratePopulation(
-            f"weighted variance below {VARIANCE_FLOOR} in at least one dimension"
-        )
-    return KernelScale(tau2=2.0 * var)
+    with np.errstate(over="ignore"):  # a spread wider than about 1e154 squares to inf
+        _, var = weighted_moments(thetas, weights)
+        tau2 = 2.0 * var
+    if not np.all((var >= VARIANCE_FLOOR) & np.isfinite(tau2)):
+        raise DegeneratePopulation(f"weighted variance below {VARIANCE_FLOOR}, or too large for "
+                                   "a finite kernel, in at least one dimension")
+    return KernelScale(tau2=tau2)
 
 
 def perturb(

@@ -62,9 +62,6 @@ class UniformBoxPrior:
         # one scalar draw per dimension: the same draws as rng.uniform(lows, highs)
         return np.array([rng.uniform(low, high) for low, high in zip(*self._bounds)])
 
-    def logpdf(self, theta) -> float:
-        return -self._log_volume if self.in_support(theta) else -math.inf
-
     def logpdf_batch(self, thetas: np.ndarray) -> np.ndarray:
         thetas = _check_thetas(thetas, self.dim)
         inside = np.all((thetas >= self.lows) & (thetas <= self.highs), axis=1)
@@ -108,11 +105,6 @@ class IndependentNormalPrior:
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         return rng.normal(self.means, self.sds)
-
-    def logpdf(self, theta) -> float:
-        theta = _check_theta(theta, self.dim)
-        z = (theta - self.means) / self.sds
-        return self._log_norm - 0.5 * float(np.dot(z, z))
 
     def logpdf_batch(self, thetas: np.ndarray) -> np.ndarray:
         thetas = _check_thetas(thetas, self.dim)

@@ -35,12 +35,9 @@ class ToleranceSchedule:
     epsilons: tuple[float, ...]
 
     def __post_init__(self):
-        eps = tuple(float(e) for e in self.epsilons)
+        eps = tuple(engine.check_arg("epsilon", float(e)) for e in self.epsilons)
         if len(eps) < 1:
             raise ValueError("schedule needs at least one tolerance")
-        for e in eps:
-            if not math.isfinite(e) or e < 0:
-                raise ValueError(f"tolerances must be finite and nonnegative, got {e}")
         for a, b in zip(eps, eps[1:]):
             if b >= a:
                 raise ValueError(
@@ -104,9 +101,10 @@ def abc_rejection(
     """Plain rejection ABC: prior draws accepted within epsilon, equal weights."""
     engine.check_arg("n_particles", n_particles)
     engine.check_arg("epsilon", epsilon)
+    limit = engine.budget_limit(budget)
     with engine.WorkerPool(workers, model) as pool:
         return engine.initial_generation(
-            model, epsilon, n_particles, seed=seed, budget=budget, pool=pool
+            model, epsilon, n_particles, seed=seed, budget=limit, pool=pool
         )
 
 
@@ -124,10 +122,10 @@ def _sequential_abc(
     engine.check_arg("n_particles", n_particles, sequential=True)
     if not isinstance(schedule, ToleranceSchedule):
         schedule = ToleranceSchedule(tuple(schedule))
-    remaining = None if budget is None else int(budget)
+    remaining = engine.budget_limit(budget)
     populations: list[Population] = []
     with engine.WorkerPool(workers, model) as pool:
-        for t, eps_t in enumerate(schedule.epsilons, start=1):
+        for eps_t in schedule.epsilons:
             prev = populations[-1] if populations else None
             if prev is None:
                 pop = engine.initial_generation(
@@ -136,8 +134,7 @@ def _sequential_abc(
             else:
                 scale = kernel.adapt_scale(prev.thetas, prev.weights)
                 res = engine.propagate_generation(
-                    model, eps_t, t, prev.thetas, prev.weights, scale, n_particles,
-                    seed=seed, budget=remaining, pool=pool,
+                    model, eps_t, prev, scale, n_particles, seed=seed, budget=remaining, pool=pool
                 )
                 if weighting == "pmc":
                     log_w = pmc_log_weights(
@@ -149,8 +146,7 @@ def _sequential_abc(
             populations.append(pop)
             if on_generation is not None:
                 on_generation(pop)
-            if remaining is not None:
-                remaining -= pop.sims_used
+            remaining -= pop.sims_used
     return populations
 
 
@@ -257,8 +253,8 @@ def abc_mcmc(
     sd = np.broadcast_to(sd, (d,))
     found = abc_rejection(model, epsilon, 1, seed=seed, budget=budget)
     theta = found.thetas[0]
-    cur_lp = model.prior.logpdf(theta)
-    limit = math.inf if budget is None else int(budget)
+    cur_lp = model.prior.logpdf_batch(found.thetas)[0]
+    limit = engine.budget_limit(budget)
     draws = engine.attempt_stream(seed, engine.CHAIN_STREAM_T, 0)
     sim_rng = engine.attempt_stream(seed, engine.CHAIN_STREAM_T, 1)
     sims = found.sims_used

@@ -11,7 +11,7 @@ from popabc.cli import execute_compare, execute_run, main
 from popabc.config import load_run_config, parse_compare_config, parse_run_config
 from popabc.errors import ConfigError
 from popabc.models import ModelSpec, UniformBoxPrior
-from popabc.samplers import abc_mcmc, abc_pmc, abc_rejection
+from popabc.samplers import ToleranceSchedule, abc_mcmc, abc_pmc, abc_rejection
 from population_files import read_population_csv, read_report
 
 
@@ -146,8 +146,12 @@ def test_parse_rejects_bad_seed():
     ({"algorithm": "mcmc", "model": "mixture-toy", "seed": 1, "epsilon": 0.5, "n_iter": 10,
       "proposal_sd": 0.0}, lambda: abc_mcmc(get_model("mixture-toy"), 0.5, 10, 0.0, seed=1)),
     (pmc_doc(workers=0), lambda: engine.resolve_workers(0)),
+    (pmc_doc(budget=0), lambda: abc_rejection(get_model("mixture-toy"), 1.0, 5, seed=1, budget=0)),
+    ({"algorithm": "rejection", "model": "mixture-toy", "seed": 1, "n_particles": 5,
+      "epsilon": math.inf}, lambda: abc_rejection(get_model("mixture-toy"), math.inf, 5, seed=1)),
+    (pmc_doc(schedule=[math.inf, 1.0]), lambda: ToleranceSchedule((math.inf, 1.0))),
 ], ids=["seed", "pmc-n_particles", "rejection-n_particles", "epsilon", "n_iter", "proposal_sd",
-        "workers"])
+        "workers", "budget", "infinite-epsilon", "infinite-schedule"])
 def test_config_reports_the_librarys_own_rule(doc, library):
     # each range rule is stated once, in the library: a config value out of range is
     # refused with the message a library call with that value raises
@@ -616,9 +620,13 @@ def test_bundled_configs_validate():
         assert main(["validate", "--config", str(cfg_path)]) == 0
 
 
+def refuse_constant(name):
+    raise ValueError(f"report.json holds {name}, which strict JSON parsers refuse")
+
+
 def test_report_is_valid_json_document(tmp_path):
     out_dir = tmp_path / "out"
     path = write_config(tmp_path, pmc_doc(out_dir=str(out_dir)))
     main(["run", "--config", path])
-    parsed = json.loads((out_dir / "report.json").read_text())
+    parsed = json.loads((out_dir / "report.json").read_text(), parse_constant=refuse_constant)
     assert parsed["algorithm"] == "pmc"

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 
 from popabc import benchmarks, engine, kernel
 from popabc.cli import execute_run
@@ -45,14 +46,15 @@ def test_attempt_streams_differ_across_counters():
 
 
 def test_stream_factory_matches_fresh_streams():
+    # the counter layout (0, 0, t, counter), written out here apart from the engine's
     factory = engine.StreamFactory(77)
     for t in (1, 3):
         for k in (0, 5, 1000):
-            fresh = engine.attempt_stream(77, t, k)
-            reused = factory.stream(t, k)
-            assert reused.random() == fresh.random()
-            assert np.array_equal(reused.standard_normal(3), fresh.standard_normal(3))
-            assert reused.integers(0, 1000) == fresh.integers(0, 1000)
+            for stream in (factory.stream(t, k), engine.attempt_stream(77, t, k)):
+                fresh = Generator(Philox(key=77, counter=(k << 192) | (t << 128)))
+                assert stream.random() == fresh.random()
+                assert np.array_equal(stream.standard_normal(3), fresh.standard_normal(3))
+                assert stream.integers(0, 1000) == fresh.integers(0, 1000)
 
 
 def test_stream_rejects_bad_seed():
@@ -208,11 +210,12 @@ def test_support_redraw_redraws_the_ancestor():
     Redrawing only the move would keep the ancestor and give 1/2.
     """
     model = passthrough_model()
+    prev = engine.Population(1, 1.0, [[0.0], [0.5]], [0.5, 0.5], [0.5, 0.0], None, 2)
     with engine.WorkerPool(1, model) as pool:
         res = engine.propagate_generation(
-            model, 1.0, 2, np.array([[0.0], [0.5]]), np.array([0.5, 0.5]),
-            KernelScale(tau2=[1e-4]), 3000, seed=4, pool=pool,
+            model, 1.0, prev, KernelScale(tau2=[1e-4]), 3000, seed=4, pool=pool
         )
+    assert res.t == 2
     share = float(np.mean(res.ancestors == 0))
     # the share's standard error is sqrt((1/3)(2/3)/3000) = 0.0086
     assert abs(share - 1 / 3) < 0.05, share
@@ -310,9 +313,8 @@ def test_attempt_chunk_equals_reference_loop(prior, scale, t):
     args = (model, 0.4, 2024, t, 100, 700) + (
         (None, None, None) if t == 1 else (prev_thetas, prev_cumw, scale)
     )
-    lo, thetas, dists, ancestors, accept = engine._run_attempt_chunk(args)
+    thetas, dists, ancestors, accept = engine._run_attempt_chunk(args)
     ref_thetas, ref_dists, ref_ancestors, ref_accept, redraws = reference_chunk(*args)
-    assert lo == 100
     assert thetas.shape == (600, 2) and np.all(thetas == ref_thetas)
     assert np.all(dists == ref_dists)
     assert np.all(ancestors == ref_ancestors)
@@ -386,9 +388,9 @@ def test_attempt_chunk_equals_the_call_by_call_loop(case, t, lo, hi):
     args = (model, epsilon, 555, t, lo, hi) + (
         (None, None, None) if t == 1 else (prev_thetas, prev_cumw, KernelScale(tau2=tau2))
     )
-    got_lo, thetas, dists, ancestors, accept = engine._run_attempt_chunk(args)
+    thetas, dists, ancestors, accept = engine._run_attempt_chunk(args)
     want = call_by_call_chunk(*args)
-    assert got_lo == lo and thetas.shape == (hi - lo, len(lows))
+    assert thetas.shape == (hi - lo, len(lows))
     for got, ref in zip((thetas, dists, ancestors, accept), want):
         assert got.dtype == ref.dtype and np.array_equal(got, ref)
     assert 0 < accept.sum() < hi - lo

@@ -54,25 +54,29 @@ def test_uniform_sample_mean_matches_center():
 
 def test_uniform_logpdf_value():
     prior = UniformBoxPrior([-10.0], [10.0])
-    assert prior.logpdf([0.0]) == pytest.approx(math.log(1 / 20), rel=1e-12)
+    assert prior.logpdf_batch([[0.0]])[0] == pytest.approx(math.log(1 / 20), rel=1e-12)
 
 
 def test_uniform_logpdf_outside_support():
     prior = UniformBoxPrior([-10.0], [10.0])
-    assert prior.logpdf([11.0]) == -math.inf
+    assert prior.logpdf_batch([[11.0]])[0] == -math.inf
+    # a 2-d point is outside when any one coordinate is
+    box = UniformBoxPrior([-1.0, 0.0], [1.0, 2.0])
+    got = box.logpdf_batch([[0.0, 1.0], [2.0, 1.0], [-0.5, 0.1], [0.0, 2.5]])
+    assert got.tolist() == pytest.approx([-math.log(4.0), -math.inf, -math.log(4.0), -math.inf])
 
 
 def test_normal_logpdf_standard_at_zero():
     prior = IndependentNormalPrior([0.0], [1.0])
-    assert prior.logpdf([0.0]) == pytest.approx(math.log(0.3989422804014327), rel=1e-9)
+    assert prior.logpdf_batch([[0.0]])[0] == pytest.approx(math.log(0.3989422804014327), rel=1e-9)
 
 
 def test_logpdf_dimension_mismatch():
     prior = UniformBoxPrior([0.0, 0.0], [1.0, 1.0])
     with pytest.raises(ValueError):
-        prior.logpdf([0.5])
+        prior.logpdf_batch([[0.5]])
     with pytest.raises(ValueError):
-        IndependentNormalPrior([0.0], [1.0]).logpdf([0.0, 0.0])
+        IndependentNormalPrior([0.0], [1.0]).logpdf_batch([[0.0, 0.0]])
 
 
 def test_prior_validation():
@@ -80,14 +84,6 @@ def test_prior_validation():
         UniformBoxPrior([1.0], [0.0])
     with pytest.raises(ValueError):
         IndependentNormalPrior([0.0], [0.0])
-
-
-def test_logpdf_batch_matches_scalar():
-    prior = UniformBoxPrior([-1.0, 0.0], [1.0, 2.0])
-    thetas = np.array([[0.0, 1.0], [2.0, 1.0], [-0.5, 0.1]])
-    batch = prior.logpdf_batch(thetas)
-    for row, value in zip(thetas, batch):
-        assert value == prior.logpdf(row)
 
 
 def test_distance_identity():
@@ -127,8 +123,8 @@ def test_distance_symmetry_and_triangle(a, b, c):
 def test_uniform_density_constant_on_support(seed):
     prior = UniformBoxPrior([-3.0, 1.0], [4.0, 2.5])
     rng = np.random.default_rng(seed)
-    values = {prior.logpdf(prior.sample(rng)) for _ in range(100)}
-    assert len(values) == 1
+    values = prior.logpdf_batch([prior.sample(rng) for _ in range(100)])
+    assert len(set(values.tolist())) == 1
 
 
 @pytest.mark.parametrize(
@@ -137,8 +133,7 @@ def test_uniform_density_constant_on_support(seed):
 )
 def test_sampled_points_have_positive_density(prior):
     rng = np.random.default_rng(9)
-    for _ in range(100):
-        assert prior.logpdf(prior.sample(rng)) > -math.inf
+    assert np.all(prior.logpdf_batch([prior.sample(rng) for _ in range(100)]) > -math.inf)
 
 
 def test_in_support_rejects_nan_and_wrong_length():
@@ -227,7 +222,7 @@ def test_uniform_prior_refuses_a_box_wider_than_any_float(lows, highs):
             UniformBoxPrior(lows, highs)
     # a box whose width is still a float builds, with a finite density and draws inside it
     prior = UniformBoxPrior([-8e307], [8e307])
-    assert math.isfinite(prior.logpdf([0.0]))
+    assert math.isfinite(prior.logpdf_batch([[0.0]])[0])
     assert prior.in_support(prior.sample(np.random.default_rng(0)))
 
 
