@@ -212,8 +212,8 @@ def execute_compare(cfg: CompareConfig):
 def _print_run_summary(report: dict):
     print(f"algorithm: {report['algorithm']}  model: {report['model']}  status: {report['status']}")
     for gen in report["generations"]:
-        mean = ", ".join(f"{v:.4g}" for v in gen["weighted_mean"])
-        var = ", ".join(f"{v:.4g}" for v in gen["weighted_var"])
+        mean, var = (", ".join("null" if v is None else f"{v:.4g}" for v in gen[key])
+                     for key in ("weighted_mean", "weighted_var"))
         print(
             f"  t={gen['t']} eps={gen['epsilon']:g} ess={gen['ess']:.1f} "
             f"acc={gen['acceptance_rate']:.3g} sims={gen['sims_used']} "

@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple
 import yaml
 
 from . import benchmarks
-from .engine import ARG_RULES, check_arg, resolve_workers
+from .engine import ARG_RULES, check_arg, is_integer, resolve_workers
 from .errors import ConfigError
 from .samplers import ToleranceSchedule
 
@@ -67,14 +67,6 @@ class CompareConfig:
     raw: dict = field(default_factory=dict, compare=False)
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _known_model(name) -> str:
     if name not in benchmarks.model_names():
         raise ValueError(f"unknown model; available: {', '.join(benchmarks.model_names())}")
@@ -86,31 +78,32 @@ class _Key(NamedTuple):
     algorithms that read the key, its default when absent or null, and the
     conversion of a valid value."""
 
-    what: str
-    valid: Callable[[object], bool]
+    what: str = ""
+    valid: Callable[[object], bool] = lambda value: True
     algorithms: tuple[str, ...] = ALGORITHMS
     default: object = None
     convert: Callable = lambda value: value
 
 
-# An algorithm rejects the keys it does not read. valid tests a value's type; its range
-# is the library's rule, in engine.ARG_RULES, resolve_workers or ToleranceSchedule.
+# An algorithm rejects the keys it does not read. A key named after an engine.ARG_RULES
+# entry is checked by that rule alone, type and range; valid tests the type of the others,
+# whose range is the library's rule in resolve_workers or ToleranceSchedule.
 _RUN_KEYS = {
     "algorithm": _Key(f"one of {', '.join(ALGORITHMS)}", lambda v: v in ALGORITHMS, default=_REQUIRED),
     "model": _Key("a model name", lambda v: isinstance(v, str), default=_REQUIRED,
                   convert=_known_model),
-    "seed": _Key("an integer", _is_int, default=_REQUIRED),
-    "n_particles": _Key("an integer", _is_int, POPULATION_ALGORITHMS, _REQUIRED),
+    "seed": _Key(default=_REQUIRED),
+    "n_particles": _Key(algorithms=POPULATION_ALGORITHMS, default=_REQUIRED),
     "schedule": _Key(
         "a list of tolerances",
-        lambda v: isinstance(v, (list, tuple)) and all(map(_is_number, v)),
+        lambda v: isinstance(v, (list, tuple)),
         SEQUENTIAL_ALGORITHMS, _REQUIRED, lambda v: ToleranceSchedule(tuple(v)),
     ),
-    "epsilon": _Key("a number", _is_number, ("rejection", "mcmc"), _REQUIRED, float),
-    "n_iter": _Key("an integer", _is_int, ("mcmc",), _REQUIRED),
-    "proposal_sd": _Key("a finite positive number", _is_number, ("mcmc",), _REQUIRED, float),
-    "burn_in": _Key("a nonnegative integer", lambda v: _is_int(v) and v >= 0, ("mcmc",), 0),
-    "budget": _Key("an integer", _is_int),
+    "epsilon": _Key(algorithms=("rejection", "mcmc"), default=_REQUIRED, convert=float),
+    "n_iter": _Key(algorithms=("mcmc",), default=_REQUIRED),
+    "proposal_sd": _Key(algorithms=("mcmc",), default=_REQUIRED, convert=float),
+    "burn_in": _Key("a nonnegative integer", lambda v: is_integer(v) and v >= 0, ("mcmc",), 0),
+    "budget": _Key(),
     # checked as the worker pool checks it, and kept as written: 'auto' stays 'auto'
     "workers": _Key("a positive integer or 'auto'", lambda v: True, POPULATION_ALGORITHMS, 1,
                     lambda v: resolve_workers(v) and v),
@@ -121,7 +114,7 @@ _RUN_KEYS = {
 _COMPARE_KEYS = {
     "model": _RUN_KEYS["model"],
     "seed": _RUN_KEYS["seed"],
-    "replicates": _Key("a positive integer", lambda v: _is_int(v) and v >= 1, default=_REQUIRED),
+    "replicates": _Key("a positive integer", lambda v: is_integer(v) and v >= 1, default=_REQUIRED),
     "algorithms": _Key("a non-empty list", lambda v: isinstance(v, list) and v != [], default=_REQUIRED),
     "out_dir": _RUN_KEYS["out_dir"],
     "workers": _RUN_KEYS["workers"],

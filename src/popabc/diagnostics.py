@@ -104,9 +104,11 @@ def generation_stats(pop: Population) -> dict:
     per simulator call), ``sims_used``, ``weighted_mean``, ``weighted_var``,
     ``quantiles`` (one list per level in QUANTILE_LEVELS, keyed by the level
     as a string) and ``scale``, the kernel that proposed the population: None
-    at t=1, else its per-dimension variances ``{"tau2": [...]}``.
+    at t=1, else its per-dimension variances ``{"tau2": [...]}``. A moment that
+    is not a finite float64 is None, so the report stays strict JSON.
     """
-    mean, var = kernel.weighted_moments(pop.thetas, pop.weights)
+    with np.errstate(over="ignore"):  # a spread wider than about 1e154 squares to inf
+        mean, var = kernel.weighted_moments(pop.thetas, pop.weights)
     per_dim = [weighted_quantiles(pop.thetas[:, k], pop.weights, QUANTILE_LEVELS)
                for k in range(pop.dim)]
     quantiles = {str(q): [col[i] for col in per_dim] for i, q in enumerate(QUANTILE_LEVELS)}
@@ -120,8 +122,8 @@ def generation_stats(pop: Population) -> dict:
         "ess": ess(pop.weights),
         "acceptance_rate": pop.n / pop.sims_used,
         "sims_used": pop.sims_used,
-        "weighted_mean": [float(v) for v in mean],
-        "weighted_var": [float(v) for v in var],
+        "weighted_mean": [float(v) if np.isfinite(v) else None for v in mean],
+        "weighted_var": [float(v) if np.isfinite(v) else None for v in var],
         "quantiles": quantiles,
         "scale": scale,
     }

@@ -23,6 +23,7 @@ import numbers
 import os
 import pickle
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,17 +47,27 @@ CHUNKS_PER_WORKER = 4
 MIN_CHUNK = 64
 
 
-# The range rule of each run argument, stated once as (test, what a valid value is): the
-# engine and samplers check their arguments here, and the config keys named after them.
+# type tests of the argument rules and of the config keys: a bool is not taken for a number
+def is_integer(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def is_real(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+# The rule of each run argument, its type and range, stated once as (test, what a valid
+# value is): the engine and samplers check their arguments here, and the config keys
+# named after them.
 ARG_RULES = {
-    "seed": (lambda v: 0 <= v < 2**64, "an unsigned 64-bit integer"),
-    "n_particles": (lambda v: v >= 1, ">= 1"),
-    "sequential n_particles": (lambda v: v >= 2, ">= 2, for the variance of the kernel"),
-    "epsilon": (lambda v: 0 <= v < math.inf, "nonnegative and finite"),
-    "n_iter": (lambda v: v >= 1, ">= 1"),
-    "proposal_sd": (lambda v: np.all((v > 0) & np.isfinite(v)), "a finite positive number"),
-    "budget": (lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 1,
-               "a positive integer"),
+    "seed": (lambda v: is_integer(v) and 0 <= v < 2**64, "an unsigned 64-bit integer"),
+    "n_particles": (lambda v: is_integer(v) and v >= 1, "an integer >= 1"),
+    "sequential n_particles": (lambda v: is_integer(v) and v >= 2,
+                               "an integer >= 2, for the variance of the kernel"),
+    "epsilon": (lambda v: is_real(v) and 0 <= v < math.inf, "nonnegative and a finite number"),
+    "n_iter": (lambda v: is_integer(v) and v >= 1, "an integer >= 1"),
+    "proposal_sd": (lambda v: is_real(v) and 0 < v < math.inf, "a finite positive number"),
+    "budget": (lambda v: is_integer(v) and v >= 1, "a positive integer"),
 }
 
 
@@ -109,51 +120,35 @@ def resolve_workers(requested) -> int:
     """Worker count: a positive integer, or 'auto' for one per CPU."""
     if requested == "auto":
         return os.cpu_count() or 1
-    if not isinstance(requested, int) or isinstance(requested, bool) or requested < 1:
+    if not is_integer(requested) or requested < 1:
         raise ConfigError(f"workers must be a positive integer or 'auto', got {requested!r}")
     return requested
 
 
-class WorkerPool:
-    """Maps attempt chunks over an optional process pool.
+@contextmanager
+def worker_pool(workers: int | str, model: ModelSpec):
+    """``(workers, map)`` for the attempt chunks: the builtin ``map`` for one worker,
+    else a process pool's, shut down however the block exits.
 
     With ``workers > 1`` each wave is cut into a multiple of ``workers``
     equal chunks (``_split_chunks``), so the workers finish a wave together.
-    Chunking only affects scheduling; results are reassembled in submission
+    Chunking only affects scheduling; results come back in submission
     order, so the pool size never changes what a run produces.
     """
-
-    def __init__(self, workers: int | str, model: ModelSpec):
-        self.workers = resolve_workers(workers)
-        if self.workers > 1:
-            # worker processes receive the model by pickle: fail before any starts
-            try:
-                pickle.dumps(model)
-            except (pickle.PicklingError, AttributeError, TypeError) as exc:
-                raise ConfigError(
-                    f"model {model.name!r} cannot be sent to worker processes ({exc}); "
-                    "define its simulator at module level or run with workers: 1"
-                ) from None
-        self._executor = (
-            ProcessPoolExecutor(max_workers=self.workers) if self.workers > 1 else None
-        )
-
-    def map_chunks(self, fn, arg_list):
-        if self._executor is None:
-            return [fn(args) for args in arg_list]
-        return list(self._executor.map(fn, arg_list))
-
-    def close(self):
-        if self._executor is not None:
-            self._executor.shutdown()
-            self._executor = None
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-        return False
+    workers = resolve_workers(workers)
+    if workers == 1:
+        yield workers, map
+        return
+    # worker processes receive the model by pickle: fail before any starts
+    try:
+        pickle.dumps(model)
+    except (pickle.PicklingError, AttributeError, TypeError) as exc:
+        raise ConfigError(
+            f"model {model.name!r} cannot be sent to worker processes ({exc}); "
+            "define its simulator at module level or run with workers: 1"
+        ) from None
+    with ProcessPoolExecutor(max_workers=workers) as executor:
+        yield workers, executor.map
 
 
 @dataclass(frozen=True)
@@ -290,11 +285,12 @@ def _collect(
     n: int,
     seed: int,
     budget: float,
-    pool: WorkerPool,
+    pool: tuple,  # (workers, map), from worker_pool
     prev: Population | None = None,
     scale: kernel.KernelScale | None = None,
 ) -> Population:
     t = 1 if prev is None else prev.t + 1
+    workers, map_chunks = pool
     prev_thetas = None if prev is None else prev.thetas
     prev_cumw = None if prev is None else np.cumsum(prev.weights)
     kept_thetas, kept_dists, kept_anc = [], [], []
@@ -312,10 +308,10 @@ def _collect(
             wave = remaining
         chunk_args = [
             (model, epsilon, seed, t, lo, hi, prev_thetas, prev_cumw, scale)
-            for lo, hi in _split_chunks(attempted, wave, pool.workers)
+            for lo, hi in _split_chunks(attempted, wave, workers)
         ]
         before = accepted
-        for thetas, dists, ancestors, accept in pool.map_chunks(_run_attempt_chunk, chunk_args):
+        for thetas, dists, ancestors, accept in map_chunks(_run_attempt_chunk, chunk_args):
             if accepted < n and np.any(accept):
                 kept_thetas.append(thetas[accept])
                 kept_dists.append(dists[accept])
@@ -337,7 +333,7 @@ def initial_generation(
     *,
     seed: int,
     budget: float = math.inf,
-    pool: WorkerPool,
+    pool: tuple,
 ) -> Population:
     """First generation: prior draws accepted within epsilon, with equal weights."""
     return _collect(model, epsilon, n, seed, budget, pool)
@@ -352,7 +348,7 @@ def propagate_generation(
     *,
     seed: int,
     budget: float = math.inf,
-    pool: WorkerPool,
+    pool: tuple,
 ) -> Population:
     """Generation ``prev.t + 1``: resample ``prev``, perturb, accept within epsilon; equal weights.
 

@@ -1,9 +1,9 @@
 """The four ABC algorithms: rejection, PMC, PRC and likelihood-free MCMC.
 
-All four share the model contract and, for the sequential pair, the same
-propagation engine; they differ only in how particles are weighted: the
-engine returns each generation as a ``Population``, and PMC and PRC replace
-its equal weights.
+All four share the model contract. Rejection is generation 1 of PMC and
+PRC, and the three enter the propagation engine the same way; they differ
+only in how particles are weighted: the engine returns each generation as a
+``Population``, and PMC and PRC replace its equal weights.
 
 * ``abc_pmc`` treats each generation as importance sampling against the
   actual proposal — the previous weighted population convolved with the
@@ -35,7 +35,7 @@ class ToleranceSchedule:
     epsilons: tuple[float, ...]
 
     def __post_init__(self):
-        eps = tuple(engine.check_arg("epsilon", float(e)) for e in self.epsilons)
+        eps = tuple(float(engine.check_arg("epsilon", e)) for e in self.epsilons)
         if len(eps) < 1:
             raise ValueError("schedule needs at least one tolerance")
         for a, b in zip(eps, eps[1:]):
@@ -98,14 +98,9 @@ def abc_rejection(
     budget: int | None = None,
     workers: int | str = 1,
 ) -> Population:
-    """Plain rejection ABC: prior draws accepted within epsilon, equal weights."""
-    engine.check_arg("n_particles", n_particles)
-    engine.check_arg("epsilon", epsilon)
-    limit = engine.budget_limit(budget)
-    with engine.WorkerPool(workers, model) as pool:
-        return engine.initial_generation(
-            model, epsilon, n_particles, seed=seed, budget=limit, pool=pool
-        )
+    """Plain rejection ABC, the sequential samplers' generation 1: prior draws within epsilon."""
+    return _sequential_abc(model, (epsilon,), n_particles, seed=seed, budget=budget,
+                           workers=workers, weighting=None)[0]
 
 
 def _sequential_abc(
@@ -116,15 +111,19 @@ def _sequential_abc(
     seed: int,
     budget: int | None,
     workers: int | str,
-    weighting: str,
+    weighting: str | None,
     on_generation=None,
 ) -> list[Population]:
-    engine.check_arg("n_particles", n_particles, sequential=True)
+    """The one way into the engine, which alone checks a run's arguments, reads its budget
+    and holds its worker pool: rejection at the first tolerance, then each generation
+    weighted by ``weighting``, "pmc" or "prc" (None for rejection, which takes n >= 1)."""
+    engine.check_arg("seed", seed)  # before the pool starts, not in its workers
+    engine.check_arg("n_particles", n_particles, sequential=weighting is not None)
     if not isinstance(schedule, ToleranceSchedule):
         schedule = ToleranceSchedule(tuple(schedule))
     remaining = engine.budget_limit(budget)
     populations: list[Population] = []
-    with engine.WorkerPool(workers, model) as pool:
+    with engine.worker_pool(workers, model) as pool:
         for eps_t in schedule.epsilons:
             prev = populations[-1] if populations else None
             if prev is None:
@@ -246,8 +245,8 @@ def abc_mcmc(
     """
     engine.check_arg("n_iter", n_iter)
     d = model.dim
-    sd = engine.check_arg("proposal_sd", np.asarray(proposal_sd, dtype=float))
-    if sd.shape not in ((), (1,), (d,)):
+    sd = np.array([engine.check_arg("proposal_sd", v) for v in np.ravel(proposal_sd)], float)
+    if sd.shape not in ((1,), (d,)):
         raise ValueError(f"proposal_sd must be one SD or {d}, one per model dimension; "
                          f"got {sd.tolist()}")
     sd = np.broadcast_to(sd, (d,))

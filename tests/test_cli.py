@@ -150,8 +150,21 @@ def test_parse_rejects_bad_seed():
     ({"algorithm": "rejection", "model": "mixture-toy", "seed": 1, "n_particles": 5,
       "epsilon": math.inf}, lambda: abc_rejection(get_model("mixture-toy"), math.inf, 5, seed=1)),
     (pmc_doc(schedule=[math.inf, 1.0]), lambda: ToleranceSchedule((math.inf, 1.0))),
+    # the type is part of each rule: a config refuses a wrongly typed value as a library does
+    (pmc_doc(seed=5.5), lambda: abc_rejection(get_model("mixture-toy"), 1.0, 5, seed=5.5)),
+    (pmc_doc(n_particles=10.0), lambda: abc_pmc(get_model("mixture-toy"), (1.0,), 10.0, seed=1)),
+    ({"algorithm": "rejection", "model": "mixture-toy", "seed": 1, "n_particles": 5,
+      "epsilon": "1.0"}, lambda: abc_rejection(get_model("mixture-toy"), "1.0", 5, seed=1)),
+    (pmc_doc(schedule=[2.0, "1.0"]), lambda: ToleranceSchedule((2.0, "1.0"))),
+    ({"algorithm": "mcmc", "model": "mixture-toy", "seed": 1, "epsilon": 0.5, "n_iter": "10",
+      "proposal_sd": 1.0}, lambda: abc_mcmc(get_model("mixture-toy"), 0.5, "10", 1.0, seed=1)),
+    ({"algorithm": "mcmc", "model": "mixture-toy", "seed": 1, "epsilon": 0.5, "n_iter": 10,
+      "proposal_sd": "1.0"}, lambda: abc_mcmc(get_model("mixture-toy"), 0.5, 10, "1.0", seed=1)),
+    (pmc_doc(budget=2.5), lambda: abc_pmc(get_model("mixture-toy"), (1.0,), 5, seed=1, budget=2.5)),
 ], ids=["seed", "pmc-n_particles", "rejection-n_particles", "epsilon", "n_iter", "proposal_sd",
-        "workers", "budget", "infinite-epsilon", "infinite-schedule"])
+        "workers", "budget", "infinite-epsilon", "infinite-schedule", "float-seed",
+        "float-n_particles", "string-epsilon", "string-schedule", "string-n_iter",
+        "string-proposal_sd", "float-budget"])
 def test_config_reports_the_librarys_own_rule(doc, library):
     # each range rule is stated once, in the library: a config value out of range is
     # refused with the message a library call with that value raises
@@ -630,3 +643,16 @@ def test_report_is_valid_json_document(tmp_path):
     main(["run", "--config", path])
     parsed = json.loads((out_dir / "report.json").read_text(), parse_constant=refuse_constant)
     assert parsed["algorithm"] == "pmc"
+
+
+def test_report_with_a_moment_that_overflows_is_valid_json(tmp_path, monkeypatch, capsys):
+    wide = ModelSpec(name="wide", prior=UniformBoxPrior([-8e307], [8e307]),
+                     simulator=lambda theta, rng: np.array([0.0]), observed=[0.0])
+    monkeypatch.setitem(benchmarks.MODEL_BUILDERS, "wide", lambda: wide)
+    out_dir = tmp_path / "out"
+    path = write_config(tmp_path, {"algorithm": "rejection", "model": "wide", "seed": 1,
+                                   "n_particles": 50, "epsilon": 1.0, "out_dir": str(out_dir)})
+    assert main(["run", "--config", path]) == 0
+    parsed = json.loads((out_dir / "report.json").read_text(), parse_constant=refuse_constant)
+    assert parsed["generations"][0]["weighted_var"] == [None]
+    assert "var=[null]" in capsys.readouterr().out

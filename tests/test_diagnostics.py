@@ -1,3 +1,6 @@
+import json
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +16,8 @@ from popabc.diagnostics import (
     weighted_quantiles,
 )
 from popabc.kernel import weighted_moments
-from popabc.samplers import Population
+from popabc.models import ModelSpec, UniformBoxPrior
+from popabc.samplers import Population, abc_rejection
 
 
 def normal_oracle(mean=0.0, sd=1.0):
@@ -240,3 +244,14 @@ def test_generation_stats_moments_match_independent_loop():
         loop_var = sum(weights[i] * (thetas[i][k] - loop_mean) ** 2 for i in range(50))
         assert mean[k] == pytest.approx(loop_mean, abs=1e-12)
         assert var[k] == pytest.approx(loop_var, abs=1e-12)
+
+
+def test_a_moment_that_overflows_float64_is_null():
+    # a U(-8e307, 8e307) population's variance is near 2e615: the block holds None for it,
+    # which JSON writes as null, with no RuntimeWarning (an error under the test settings)
+    model = ModelSpec(name="wide", prior=UniformBoxPrior([-8e307], [8e307]),
+                      simulator=lambda theta, rng: np.array([0.0]), observed=[0.0])
+    stats = generation_stats(abc_rejection(model, 1.0, 50, seed=1))
+    assert stats["weighted_var"] == [None]
+    assert math.isfinite(stats["weighted_mean"][0])
+    json.dumps(stats, allow_nan=False)

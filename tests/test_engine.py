@@ -1,5 +1,6 @@
 import bisect
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -201,6 +202,35 @@ def test_unpicklable_simulator_with_workers_is_config_error():
         abc_rejection(model, 0.2, 10, seed=1, workers=2)
 
 
+def fails_above_0_9(theta, rng):
+    """Passes theta through and fails above 0.9; defined at module level, so it pickles."""
+    if theta[0] > 0.9:
+        raise RuntimeError(f"simulator failed at {theta[0]}")
+    return np.array([theta[0]])
+
+
+def test_simulator_failure_in_the_pool_is_the_in_process_failure():
+    # every chunk of the first wave holds a failing attempt; the one raised is the first in
+    # counter order, as in process, and the pool's processes are gone however the run ends
+    model = ModelSpec(name="fails-high", prior=UniformBoxPrior([0.0], [1.0]),
+                      simulator=fails_above_0_9, observed=[0.5])
+    failures = []
+    for workers in (1, 2):
+        with pytest.raises(RuntimeError, match="simulator failed at 0.9") as exc:
+            abc_rejection(model, 1.0, 1000, seed=3, workers=workers)
+        failures.append((type(exc.value), str(exc.value)))
+        assert multiprocessing.active_children() == []
+    assert failures[0] == failures[1]
+    abc_rejection(benchmarks.get_model("mixture-toy"), 1.0, 200, seed=3, workers=2)
+    assert multiprocessing.active_children() == []
+
+
+def test_a_bad_seed_is_refused_before_the_pool_starts(monkeypatch):
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", None)  # starting a pool would fail
+    with pytest.raises(ValueError, match="seed must be"):
+        abc_pmc(benchmarks.get_model("mixture-toy"), (2.0, 1.0), 50, seed=5.7, workers=2)
+
+
 def test_support_redraw_redraws_the_ancestor():
     """A proposal outside the support redraws ancestor and move together.
 
@@ -211,7 +241,7 @@ def test_support_redraw_redraws_the_ancestor():
     """
     model = passthrough_model()
     prev = engine.Population(1, 1.0, [[0.0], [0.5]], [0.5, 0.5], [0.5, 0.0], None, 2)
-    with engine.WorkerPool(1, model) as pool:
+    with engine.worker_pool(1, model) as pool:
         res = engine.propagate_generation(
             model, 1.0, prev, KernelScale(tau2=[1e-4]), 3000, seed=4, pool=pool
         )

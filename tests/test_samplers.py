@@ -335,6 +335,37 @@ def test_samplers_refuse_a_budget_that_is_not_a_positive_integer(budget):
         abc_mcmc(model, 1.0, 10, 1.0, seed=1, budget=budget)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("seed", 5.7), ("seed", True), ("seed", "5"),
+    ("n_particles", 10.0), ("n_particles", "10"), ("n_particles", True),
+    ("epsilon", "1.0"), ("epsilon", True),
+])
+def test_samplers_refuse_an_argument_of_the_wrong_type(name, value):
+    # each rule tests the type with the range: no float seed truncated, no bool taken for 1,
+    # and a ValueError that names the argument instead of a bare comparison TypeError
+    model = get_model("mixture-toy")
+    args = {"epsilon": 1.0, "n_particles": 20, "seed": 5, name: value}
+    message = f"^{name} must be .*, got {re.escape(str(value))}$"
+    with pytest.raises(ValueError, match=message):
+        abc_rejection(model, args["epsilon"], args["n_particles"], seed=args["seed"])
+    with pytest.raises(ValueError, match=message):
+        abc_pmc(model, (args["epsilon"],), args["n_particles"], seed=args["seed"])
+    if name != "n_particles":
+        with pytest.raises(ValueError, match=message):
+            abc_mcmc(model, args["epsilon"], 10, 1.0, seed=args["seed"])
+
+
+@pytest.mark.parametrize("n_iter, proposal_sd, name", [
+    ("10", 1.0, "n_iter"), (10.0, 1.0, "n_iter"), (10, "1.0", "proposal_sd"),
+    (10, True, "proposal_sd"), (10, [1.0, "1.0"], "proposal_sd"),
+])
+def test_mcmc_refuses_chain_arguments_of_the_wrong_type(n_iter, proposal_sd, name):
+    model = ModelSpec(name="plane", prior=UniformBoxPrior([0.0, 0.0], [1.0, 1.0]),
+                      simulator=lambda theta, rng: np.array([0.0]), observed=[0.0])
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        abc_mcmc(model, 0.5, n_iter, proposal_sd, seed=1)
+
+
 def test_rejection_mixture_variance():
     # analytic posterior variance 0.505; tolerance-smoothing at eps=0.1 is small
     pop = abc_rejection(get_model("mixture-toy"), 0.10, 5000, seed=42)
