@@ -22,7 +22,6 @@ import math
 import numbers
 import os
 import pickle
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -147,6 +146,8 @@ def worker_pool(workers: int | str, model: ModelSpec):
             f"model {model.name!r} cannot be sent to worker processes ({exc}); "
             "define its simulator at module level or run with workers: 1"
         ) from None
+    from concurrent.futures import ProcessPoolExecutor  # a one-worker run never loads it
+
     with ProcessPoolExecutor(max_workers=workers) as executor:
         yield workers, executor.map
 
@@ -184,7 +185,7 @@ class Population:
         if not np.all(np.isfinite(thetas)) or not np.all(np.isfinite(weights)):
             raise ValueError("particles must be finite")
         kernel.check_weight_sum(weights)
-        if np.any(dists > self.epsilon):
+        if not np.all(dists <= self.epsilon):  # refuses a NaN distance too
             raise ValueError("every particle distance must be within epsilon")
         if self.t < 1:
             raise ValueError("generation index starts at 1")

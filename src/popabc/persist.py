@@ -1,21 +1,21 @@
 """Population CSV files and JSON run reports.
 
-Floats are written with Python's shortest round-trip repr, so
+Floats are written with the shortest round-trip ``repr`` of a Python float, so
 write -> read -> write reproduces population files byte for byte; the test
 ``test_write_read_round_trip`` in ``tests/test_persist.py`` checks it.
 """
 from __future__ import annotations
 
 import json
+from itertools import chain, islice, repeat
 from pathlib import Path
 
 import numpy as np
 
 from .engine import Population
 
-
-def format_float(x: float) -> str:
-    return repr(float(x))
+# rows joined into each write of a population file
+ROWS_PER_WRITE = 4096
 
 
 def population_filename(t: int) -> str:
@@ -23,28 +23,26 @@ def population_filename(t: int) -> str:
 
 
 def write_population(path, pop: Population):
+    """One CSV row per particle. Each run of rows with the same bits (a chain's repeated
+    state; 0.0 and -0.0 differ) is formatted once, and the rows are written in blocks."""
     header = (
         "t,particle_id,"
         + ",".join(f"theta_{k}" for k in range(pop.dim))
         + ",weight,distance"
     )
-    # chains repeat states, so each distinct value is formatted once; zeros
-    # are not cached because 0.0 == -0.0 while their reprs differ
-    texts: dict[float, str] = {}
-
-    def text(x: float) -> str:
-        s = texts.get(x)
-        if s is None:
-            s = format_float(x)
-            if x:
-                texts[x] = s
-        return s
-
-    columns = np.column_stack((pop.thetas, pop.weights, pop.dists)).T.tolist()
+    table = np.column_stack((pop.thetas, pop.weights, pop.dists))
+    bits = table.view(np.uint64)
+    starts = np.flatnonzero(np.r_[True, np.any(bits[1:] != bits[:-1], axis=1)])
+    texts = list(map(",".join, map(map, repeat(repr), table[starts].tolist())))
+    # each row's text ends with the next row's "t,": the last row is written on its own
+    lengths = np.diff(starts, append=pop.n - 1).tolist()
+    rows = chain.from_iterable(map(repeat, map(f",{{}}\n{pop.t},".format, texts), lengths))
+    pieces = chain.from_iterable(zip(map(str, range(pop.n)), rows))
     with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for i, row in enumerate(zip(*(map(text, column) for column in columns))):
-            fh.write(f"{pop.t},{i},{','.join(row)}\n")
+        fh.write(f"{header}\n{pop.t},")
+        while block := "".join(islice(pieces, 2 * ROWS_PER_WRITE)):
+            fh.write(block)
+        fh.write(f"{pop.n - 1},{texts[-1]}\n")
 
 
 def write_report(path, report: dict):

@@ -281,7 +281,8 @@ def abc_mcmc(
                     raise BudgetExhausted(n_iter, lo + i + k, sims)
                 dist = simulate_distance(props[k], sim_rng)
                 sims += 1
-                if dist <= epsilon and log(us[i + k]) < lps[k] - cur_lp:
+                # a uniform of exactly 0.0 accepts: log 0 = -inf is below any prior ratio
+                if dist <= epsilon and (us[i + k] == 0.0 or log(us[i + k]) < lps[k] - cur_lp):
                     n_accepted += 1
                     states[n_accepted] = props[k]
                     theta = states[n_accepted]

@@ -1,4 +1,5 @@
 import bisect
+import concurrent.futures
 import math
 import multiprocessing
 
@@ -226,7 +227,8 @@ def test_simulator_failure_in_the_pool_is_the_in_process_failure():
 
 
 def test_a_bad_seed_is_refused_before_the_pool_starts(monkeypatch):
-    monkeypatch.setattr(engine, "ProcessPoolExecutor", None)  # starting a pool would fail
+    # starting a pool would fail
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)
     with pytest.raises(ValueError, match="seed must be"):
         abc_pmc(benchmarks.get_model("mixture-toy"), (2.0, 1.0), 50, seed=5.7, workers=2)
 

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,9 +16,26 @@ def population(t, thetas, weights, dists):
 finite_floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
 
 
+def reference_csv(pop):
+    """The population file written one row at a time, each value by ``repr``."""
+    header = ",".join(["t", "particle_id", *(f"theta_{k}" for k in range(pop.dim)),
+                       "weight", "distance"])
+    rows = np.column_stack((pop.thetas, pop.weights, pop.dists)).tolist()
+    return "".join([header + "\n"] + [f"{pop.t},{i}," + ",".join(map(repr, row)) + "\n"
+                                       for i, row in enumerate(rows)])
+
+
+def assert_writes_reference(path, pop):
+    persist.write_population(path, pop)
+    assert path.read_text() == reference_csv(pop)
+
+
 @given(finite_floats)
-def test_format_float_round_trips(x):
-    assert float(persist.format_float(x)) == x
+def test_written_values_round_trip(tmp_path_factory, x):
+    path = tmp_path_factory.mktemp("csv") / "gen_001.csv"
+    persist.write_population(path, population(1, np.array([[x]]), np.ones(1), np.abs([x])))
+    _, thetas, _, dists = read_population_csv(path)
+    assert thetas[0, 0] == x and dists[0] == abs(x)
 
 
 def test_population_filename():
@@ -43,15 +61,6 @@ def test_write_read_round_trip(tmp_path):
     second = tmp_path / "copy.csv"
     persist.write_population(second, population(t, thetas2, weights2, dists2))
     assert path.read_bytes() == second.read_bytes()
-
-
-def test_csv_keeps_signed_zeros_among_repeated_values(tmp_path):
-    # the writer formats each distinct value once; 0.0 == -0.0 must not share a text
-    path = tmp_path / "gen_001.csv"
-    thetas = np.array([[0.0], [-0.0], [0.0], [1.5], [1.5]])
-    persist.write_population(path, population(1, thetas, np.full(5, 0.2), np.zeros(5)))
-    column = [line.split(",")[2] for line in path.read_text().splitlines()[1:]]
-    assert column == ["0.0", "-0.0", "0.0", "1.5", "1.5"]
 
 
 def test_csv_header_layout(tmp_path):
@@ -85,3 +94,53 @@ def test_report_round_trip(tmp_path):
     path = tmp_path / "report.json"
     persist.write_report(path, report)
     assert read_report(path) == report
+
+
+# rows 0-1 and 6-7 repeat; rows 2-5 each differ from the row before in one column only
+RUNS_2D = np.array([
+    [0.25, -1.5, 0.125, 0.5],
+    [0.25, -1.5, 0.125, 0.5],
+    [0.25, -1.25, 0.125, 0.5],  # theta_1
+    [1e-300, -1.25, 0.125, 0.5],  # theta_0
+    [1e-300, -1.25, 0.125, 0.25],  # distance
+    [1e-300, -1.25, 0.0, 0.25],  # weight
+    [3.0, 7.0, 0.125, 0.75],
+    [3.0, 7.0, 0.125, 0.75],
+])
+
+
+@pytest.mark.parametrize("rows", [slice(None), slice(0, 1), slice(5, 7), slice(2, 6)],
+                         ids=["runs", "one-row", "two-rows", "all-distinct"])
+def test_csv_matches_the_row_by_row_reference(tmp_path, rows):
+    table = RUNS_2D[rows]
+    weights = table[:, 2] / table[:, 2].sum()
+    assert_writes_reference(tmp_path / "gen_002.csv",
+                            population(2, table[:, :2], weights, table[:, 3]))
+
+
+def test_csv_keeps_signed_zeros_among_repeated_values(tmp_path):
+    # the writer formats each run of equal rows once; 0.0 == -0.0 must not share a text,
+    # within a run or across runs
+    z, nz = 0.0, -0.0
+    thetas = np.array([[z, nz], [z, nz], [nz, nz], [nz, z], [nz, z], [z, z], [z, z]])
+    dists = np.array([z, z, z, z, nz, nz, z])
+    weights = np.array([0.25, 0.25, 0.25, 0.25, nz, z, z])
+    pop = population(3, thetas, weights, dists)
+    assert_writes_reference(tmp_path / "gen_003.csv", pop)
+    lines = (tmp_path / "gen_003.csv").read_text().splitlines()[1:]
+    assert [line.split(",")[2] for line in lines] == ["0.0", "0.0", "-0.0", "-0.0", "-0.0",
+                                                      "0.0", "0.0"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 2).flatmap(lambda d: st.lists(
+    st.lists(st.integers(0, 3), min_size=d + 2, max_size=d + 2), min_size=1, max_size=40)))
+def test_csv_matches_the_reference_on_chains(tmp_path_factory, rows):
+    """Rows drawn from a few values, signed zeros among them, so runs of every length form;
+    a row's codes pick its thetas and distance from those values, and one of two weights."""
+    codes = np.array(rows)
+    values = np.array([0.0, -0.0, 1.5, 1e-300])
+    n = len(codes)
+    weights = np.where(codes[:, -1] % 2, np.nextafter(1 / n, 1), 1 / n)
+    pop = population(1, values[codes[:, :-2]], weights, values[codes[:, -2]])
+    assert_writes_reference(tmp_path_factory.mktemp("csv") / "gen_001.csv", pop)

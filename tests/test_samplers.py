@@ -284,6 +284,9 @@ def test_population_invariants_enforced():
             dists=np.array([0.1, 0.2]),
             scale=None, sims_used=2,
         )
+    with pytest.raises(ValueError, match="within epsilon"):  # no NaN is > epsilon
+        Population(t=1, epsilon=0.5, thetas=np.zeros((2, 1)), weights=[0.5, 0.5],
+                   dists=[np.nan, 0.1], scale=None, sims_used=2)
 
 
 def test_population_ancestors_checked():
@@ -554,6 +557,37 @@ def test_mcmc_mixture_variance_sanity():
     assert 0.38 <= var <= 0.64
 
 
+def test_mcmc_accepts_on_a_uniform_of_zero(monkeypatch):
+    """``Generator.random`` can return exactly 0.0, and log 0 = -inf lies below any prior
+    ratio: with every acceptance uniform zero, each in-support move within epsilon is taken."""
+    real_stream = engine.attempt_stream
+
+    class ZeroUniforms:
+        def __init__(self, rng):
+            self.standard_normal = rng.standard_normal
+
+        def random(self, size):
+            return np.zeros(size)
+
+    def stream(seed, t, counter):
+        rng = real_stream(seed, t, counter)
+        return ZeroUniforms(rng) if (t, counter) == (engine.CHAIN_STREAM_T, 0) else rng
+
+    monkeypatch.setattr(engine, "attempt_stream", stream)
+    summaries = []
+
+    def simulate(theta, rng):
+        summaries.append(theta[0] + rng.normal())
+        return np.array([summaries[-1]])
+
+    model = ModelSpec(name="normal-prior", prior=IndependentNormalPrior([0.0], [1.0]),
+                      simulator=simulate, observed=[0.0])
+    result = abc_mcmc(model, 1.0, 2 * CHUNK, 2.0, seed=5)
+    within = np.abs(summaries[result.init_sims:]) <= 1.0
+    assert result.n_accepted == np.count_nonzero(within) > 0
+    assert result.sims_used == len(summaries)
+
+
 def test_mcmc_budget_enforced():
     with pytest.raises(BudgetExhausted) as exc:
         abc_mcmc(get_model("mixture-toy"), 0.5, 100_000, 1.0, seed=2, budget=500)
@@ -586,7 +620,7 @@ def reference_mcmc(model, epsilon, n_iter, proposal_sd, *, seed, budget=None):
                     raise BudgetExhausted(n_iter, lo + i, sims)
                 dist = model.simulate_distance(prop, sim_rng)
                 sims += 1
-                if dist <= epsilon and math.log(us[i]) < lp - cur_lp:
+                if dist <= epsilon and (us[i] == 0.0 or math.log(us[i]) < lp - cur_lp):
                     theta, cur_dist, cur_lp = prop, dist, lp
                     n_accepted += 1
             thetas.append(theta)
