@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -41,14 +41,6 @@ def _dispatch(cfg: RunConfig, model, seed: int, on_generation):
     """Run the configured algorithm, streaming populations to the callback; returns
     the report's mcmc block, None for the population samplers. MCMC also passes the
     callback its chain's acceptance rate, accepted moves per step."""
-    if cfg.algorithm == "rejection":
-        on_generation(
-            abc_rejection(
-                model, cfg.epsilon, cfg.n_particles,
-                seed=seed, budget=cfg.budget, workers=cfg.workers,
-            )
-        )
-        return None
     if cfg.algorithm == "mcmc":
         result = abc_mcmc(
             model, cfg.epsilon, cfg.n_iter, cfg.proposal_sd, seed=seed, budget=cfg.budget
@@ -68,9 +60,10 @@ def _dispatch(cfg: RunConfig, model, seed: int, on_generation):
             "acceptance_rate": result.acceptance_rate,
             "init_sims": result.init_sims,
         }
-    sampler = abc_pmc if cfg.algorithm == "pmc" else abc_prc
+    sampler = {"rejection": abc_rejection, "pmc": abc_pmc, "prc": abc_prc}[cfg.algorithm]
+    tolerance = cfg.epsilon if cfg.algorithm == "rejection" else cfg.schedule
     sampler(
-        model, cfg.schedule, cfg.n_particles,
+        model, tolerance, cfg.n_particles,
         seed=seed, budget=cfg.budget, workers=cfg.workers,
         on_generation=on_generation,
     )
@@ -87,6 +80,7 @@ def execute_run(cfg: RunConfig, seed: int | None = None, persist_to: Path | None
         out_dir = Path(cfg.out_dir)
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
+        persist.remove_populations(out_dir)
 
     populations: list[Population] = []
     generations: list[dict] = []
@@ -154,7 +148,7 @@ def execute_compare(cfg: CompareConfig):
         rows = []
         for r in range(cfg.replicates):
             seed_r = (cfg.seed + r) % 2**64
-            code, run, _ = execute_run(replace(run_cfg, out_dir=None), seed=seed_r)
+            code, run, _ = execute_run(run_cfg, seed=seed_r)
             sims_used += run["totals"]["sims_used"]
             if code != 0:
                 break

@@ -11,7 +11,7 @@ A compare config sets ``seed`` and ``out_dir`` at its top level only.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -197,7 +197,10 @@ def parse_compare_config(doc: dict) -> CompareConfig:
         label = run.label
         if label in labels:
             label = f"{label}#{i}"
-            run = parse_run_config({**entry, "name": label}, context=f"{context}: algorithms[{i}]")
+            if label in labels:
+                raise ConfigError(f"{context}: algorithms[{i}]: its generated label {label!r} "
+                                  "is taken too; give it a name")
+            run = replace(run, name=label)
         labels.add(label)
         runs.append(run)
     finals = {run.label: run.final_epsilon for run in runs}

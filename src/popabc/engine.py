@@ -116,8 +116,10 @@ class StreamFactory:
 
 
 def resolve_workers(requested) -> int:
-    """Worker count: a positive integer, or 'auto' for one per CPU."""
+    """Worker count: a positive integer, or 'auto' for one per CPU this process may use."""
     if requested == "auto":
+        if hasattr(os, "sched_getaffinity"):  # the CPUs it may use; cpu_count counts the host's
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     if not is_integer(requested) or requested < 1:
         raise ConfigError(f"workers must be a positive integer or 'auto', got {requested!r}")

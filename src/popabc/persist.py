@@ -22,6 +22,12 @@ def population_filename(t: int) -> str:
     return f"gen_{t:03d}.csv"
 
 
+def remove_populations(out_dir: Path):
+    """Delete the population files an earlier run left in ``out_dir``, and nothing else."""
+    for path in out_dir.glob("gen_*.csv"):
+        path.unlink()
+
+
 def write_population(path, pop: Population):
     """One CSV row per particle. Each run of rows with the same bits (a chain's repeated
     state; 0.0 and -0.0 differ) is formatted once, and the rows are written in blocks."""

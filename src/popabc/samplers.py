@@ -61,7 +61,6 @@ def pmc_log_weights(
     quadratic form expanded into one GEMM per row block, each row shifted by
     its max before ``exp``, and blocks sized to ``kernel.BUDGET`` entries.
     """
-    thetas = np.asarray(thetas, dtype=float)
     log_denom = kernel.log_mixture_density(thetas, prev_thetas, prev_weights, scale)
     return prior.logpdf_batch(thetas) - log_denom
 
@@ -77,7 +76,6 @@ def prc_log_weights(
     Constant (zero) under a flat prior, which is exactly how the weight
     update loses the mixture-proposal information.
     """
-    thetas = np.asarray(thetas, dtype=float)
     prev_thetas = np.asarray(prev_thetas, dtype=float)
     return prior.logpdf_batch(thetas) - prior.logpdf_batch(prev_thetas[ancestors])
 
@@ -97,10 +95,11 @@ def abc_rejection(
     seed: int,
     budget: int | None = None,
     workers: int | str = 1,
+    on_generation=None,
 ) -> Population:
     """Plain rejection ABC, the sequential samplers' generation 1: prior draws within epsilon."""
     return _sequential_abc(model, (epsilon,), n_particles, seed=seed, budget=budget,
-                           workers=workers, weighting=None)[0]
+                           workers=workers, weighting=None, on_generation=on_generation)[0]
 
 
 def _sequential_abc(
@@ -240,8 +239,7 @@ def abc_mcmc(
     counter 1 feeds the simulator, one call after another. Step i proposes
     ``theta_{i-1} + noise_i``: between acceptances the rest of a block is
     proposed and support-checked in one array step, so the Python work per
-    step is one simulator call at most. The chain is built from its accepted
-    states and their run lengths at the end.
+    step is one simulator call at most.
     """
     engine.check_arg("n_iter", n_iter)
     d = model.dim
@@ -252,6 +250,7 @@ def abc_mcmc(
     sd = np.broadcast_to(sd, (d,))
     found = abc_rejection(model, epsilon, 1, seed=seed, budget=budget)
     theta = found.thetas[0]
+    cur_dist = found.dists[0]
     cur_lp = model.prior.logpdf_batch(found.thetas)[0]
     limit = engine.budget_limit(budget)
     draws = engine.attempt_stream(seed, engine.CHAIN_STREAM_T, 0)
@@ -261,12 +260,9 @@ def abc_mcmc(
     simulate_distance = model.simulate_distance
     logpdf_batch = model.prior.logpdf_batch
     log = math.log
-    # the chain as runs: states[k] is the state from step starts[k] until the next start;
-    # rows past the last acceptance are never written, so they take no memory
-    states = np.empty((n_iter + 1, d))
-    state_dists = np.empty(n_iter + 1)
-    starts = np.empty(n_iter + 1, dtype=np.intp)
-    states[0], state_dists[0], starts[0] = theta, found.dists[0], 0
+    thetas = np.empty((n_iter, d))
+    dists = np.empty(n_iter)
+    held = 0  # first row of the held state, filled up to step s when step s accepts a move
     n_accepted = 0
     for lo in range(0, n_iter, CHUNK):
         m = min(CHUNK, n_iter - lo)
@@ -284,16 +280,16 @@ def abc_mcmc(
                 # a uniform of exactly 0.0 accepts: log 0 = -inf is below any prior ratio
                 if dist <= epsilon and (us[i + k] == 0.0 or log(us[i + k]) < lps[k] - cur_lp):
                     n_accepted += 1
-                    states[n_accepted] = props[k]
-                    theta = states[n_accepted]
+                    thetas[held:lo + i + k] = theta
+                    dists[held:lo + i + k] = cur_dist
+                    held = lo + i + k
+                    theta = props[k]
                     cur_lp = lps[k]
-                    state_dists[n_accepted] = dist
-                    starts[n_accepted] = lo + i + k
+                    cur_dist = dist
                     i += k + 1
                     break
             else:
                 break  # no move accepted: the rest of the block repeats theta
-    lengths = np.diff(starts[:n_accepted + 1], append=n_iter)
-    thetas = np.repeat(states[:n_accepted + 1], lengths, axis=0)
-    dists = np.repeat(state_dists[:n_accepted + 1], lengths)
+    thetas[held:] = theta
+    dists[held:] = cur_dist
     return MCMCResult(thetas, dists, n_accepted, sims, found.sims_used)

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -395,6 +396,37 @@ def test_mcmc_reports_the_chains_acceptance_rate(tmp_path, capsys):
     assert f"acc={rate:.3g}" in captured.err and f"acc={rate:.3g}" in captured.out
 
 
+def test_mcmc_budget_spent_in_the_start_draw_reports_its_counts(tmp_path):
+    # the chain starts from a one-particle rejection draw; a budget spent there leaves
+    # no chain step, and partial counts that draw, not chain steps
+    out_dir = tmp_path / "out"
+    doc = {"algorithm": "mcmc", "model": "mixture-toy", "seed": 42, "epsilon": 0.001,
+           "n_iter": 1000, "proposal_sd": 1.0, "budget": 50, "out_dir": str(out_dir)}
+    assert main(["run", "--config", write_config(tmp_path, doc)]) == 3
+    report = read_report(out_dir / "report.json")
+    assert report["status"] == "budget-exhausted"
+    assert report["partial"] == {"requested": 1, "accepted": 0, "sims_used": 50}
+    assert report["generations"] == [] and report["mcmc"] is None
+    assert report["totals"]["sims_used"] == 50
+    assert sorted(p.name for p in out_dir.iterdir()) == ["report.json"]
+
+
+def test_rerun_into_the_same_out_dir_leaves_no_earlier_generation(tmp_path):
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    (out_dir / "notes.txt").write_text("not a run's file\n")
+    for schedule in ([3.0, 2.0, 1.5, 1.0], [3.0, 1.5]):
+        doc = pmc_doc(schedule=schedule, out_dir=str(out_dir))
+        assert main(["run", "--config", write_config(tmp_path, doc)]) == 0
+    names = sorted(p.name for p in out_dir.iterdir())
+    assert names == ["gen_001.csv", "gen_002.csv", "notes.txt", "report.json"]
+    assert len(read_report(out_dir / "report.json")["generations"]) == 2
+    # a rerun that fails in its first generation leaves none of the earlier ones
+    doc = pmc_doc(schedule=[3.0, 0.0], budget=50, out_dir=str(out_dir))
+    assert main(["run", "--config", write_config(tmp_path, doc)]) == 3
+    assert sorted(p.name for p in out_dir.iterdir()) == ["notes.txt", "report.json"]
+
+
 def test_run_coalescent_small(tmp_path):
     out_dir = tmp_path / "out"
     doc = {
@@ -546,10 +578,27 @@ def test_compare_same_algorithm_twice_same_seed_identical(tmp_path):
     assert main(["compare", "--config", path]) == 0
     report = read_report(out_dir / "comparison.json")
     labels = list(report["algorithms"])
-    assert len(labels) == 2
+    assert labels == ["pmc", "pmc#1"]
+    # the repeated entry is the first one, relabelled by its index
+    first_cfg, second_cfg = parse_compare_config(doc).algorithms
+    assert second_cfg == replace(first_cfg, name="pmc#1")
     first = report["algorithms"][labels[0]]["replicates"][0]
     second = report["algorithms"][labels[1]]["replicates"][0]
     assert first == second
+
+
+def test_compare_refuses_a_generated_label_that_is_taken(tmp_path, capsys):
+    # the third entry's generated label is the first entry's name: the second PMC's
+    # results would take the PRC entry's place in the report
+    out_dir = tmp_path / "cmp"
+    pmc = {"algorithm": "pmc", "n_particles": 20, "schedule": [2.0, 1.0]}
+    doc = {"model": "mixture-toy", "seed": 1, "replicates": 1, "out_dir": str(out_dir),
+           "algorithms": [{**pmc, "algorithm": "prc", "name": "pmc#2"}, pmc, pmc]}
+    with pytest.raises(ConfigError, match=r"algorithms\[2\]: .*'pmc#2'.*give it a name"):
+        parse_compare_config(doc)
+    assert main(["compare", "--config", write_config(tmp_path, doc)]) == 2
+    assert "give it a name" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_compare_requires_matched_final_tolerance(tmp_path, capsys):

@@ -2,6 +2,7 @@ import bisect
 import concurrent.futures
 import math
 import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -126,6 +127,16 @@ def test_resolve_workers_integer():
 
 def test_resolve_workers_auto():
     assert engine.resolve_workers("auto") >= 1
+
+
+def test_resolve_workers_auto_counts_the_cpus_this_process_may_use(monkeypatch):
+    # pinned to one CPU of an 8-CPU host, as under `taskset -c 0`
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert engine.resolve_workers("auto") == 1
+    # a platform without affinity masks counts the host's CPUs
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert engine.resolve_workers("auto") == 8
 
 
 def test_resolve_workers_rejects_garbage():
