@@ -154,6 +154,7 @@ class ModelSpec:
     simulator: Simulator
     observed: np.ndarray
     summary_scale: np.ndarray | None = None
+    _one_summary: tuple | None = field(init=False, repr=False, compare=False)  # observed, scale
 
     def __post_init__(self):
         observed = np.atleast_1d(np.asarray(self.observed, dtype=float))
@@ -170,25 +171,39 @@ class ModelSpec:
             if not np.all((scale > 0) & np.isfinite(scale)):
                 raise ValueError("summary_scale entries must be finite and positive")
             object.__setattr__(self, "summary_scale", scale)
+        one_summary = None
+        if observed.size == 1:  # as Python floats; an unset scale divides by 1.0, exactly
+            scale = 1.0 if self.summary_scale is None else self.summary_scale.item()
+            one_summary = (observed.item(), scale)
+        object.__setattr__(self, "_one_summary", one_summary)
 
     @property
     def dim(self) -> int:
         return self.prior.dim
 
     def simulate_distance(self, theta: np.ndarray, rng: np.random.Generator) -> float:
-        """Run the simulator once and return the distance to the observed summaries."""
-        summaries = np.asarray(self.simulator(theta, rng), dtype=float)
+        """Run the simulator once and return the distance to the observed summaries.
+
+        One summary's distance is ``sqrt(x * x)`` on Python floats, which equals the
+        one-term dot product bit for bit; more summaries are summed by NumPy's dot.
+        """
+        summaries = self.simulator(theta, rng)
+        if type(summaries) is not np.ndarray or summaries.dtype is not _FLOAT64:
+            summaries = np.asarray(summaries, dtype=float)
         if summaries.ndim == 0:
             summaries = summaries.reshape(1)
         if summaries.shape != self.observed.shape:
-            raise ValueError(
-                f"simulator returned {summaries.shape[0]} summaries, "
-                f"expected {self.observed.size}"
-            )
-        diff = summaries - self.observed
-        if self.summary_scale is not None:
-            diff = diff / self.summary_scale
-        dist = math.sqrt(diff.dot(diff))
+            raise ValueError(f"simulator returned summaries of shape {summaries.shape}, "
+                             f"expected {self.observed.shape}")
+        if self._one_summary is not None:
+            observed, scale = self._one_summary
+            x = (summaries.item() - observed) / scale
+            dist = math.sqrt(x * x)
+        else:
+            diff = summaries - self.observed
+            if self.summary_scale is not None:
+                diff = diff / self.summary_scale
+            dist = math.sqrt(diff.dot(diff))
         if not math.isfinite(dist):
             raise ValueError(
                 f"simulator returned summaries {summaries.tolist()} at theta "

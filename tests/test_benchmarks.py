@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.stats import norm
@@ -137,6 +139,20 @@ def test_mixture_simulator_moments():
     draws = np.array([model.simulator(np.array([3.0]), rng)[0] for _ in range(50_000)])
     assert abs(draws.mean() - 3.0) < 0.02
     assert abs(draws.var() - 0.505) / 0.505 < 0.05
+
+
+@given(theta=st.floats(min_value=mixture.SUPPORT[0], max_value=mixture.SUPPORT[1]),
+       seed=st.integers(min_value=0, max_value=2**64 - 1))
+@settings(max_examples=200, deadline=None)
+def test_mixture_simulator_draws_as_rng_normal_did(theta, seed):
+    # the earlier body drew rng.normal(theta, sd): the same summary, and the stream left at
+    # the same place, so the next draw agrees too
+    rng, previous = (np.random.Generator(np.random.Philox(seed)) for _ in range(2))
+    got = mixture.simulate(np.array([theta]), rng)
+    sd = mixture.WIDE_SD if previous.random() < 0.5 else mixture.NARROW_SD
+    want = np.array([previous.normal(theta, sd)])
+    assert got.tobytes() == want.tobytes() and got.shape == want.shape
+    assert rng.random() == previous.random()
 
 
 def test_mixture_smoothed_variance_near_exact():

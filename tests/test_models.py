@@ -236,11 +236,14 @@ def test_simulate_distance_takes_a_0d_array_as_one_summary():
     assert got == plain_distance(0.7, 0.5)
 
 
-@pytest.mark.parametrize("returned, observed", [(np.array([[0.7]]), (0.5,)),
-                                                ([0.7, 0.1, 0.2], (0.5, 0.5))],
-                         ids=["1x1-array", "wrong-length-list"])
-def test_simulate_distance_rejects_wrong_shapes(returned, observed):
-    with pytest.raises(ValueError, match="simulator returned"):
+@pytest.mark.parametrize("returned, observed, shapes",
+                         [(np.array([[0.7]]), (0.5,), r"\(1, 1\), expected \(1,\)"),
+                          (np.array([[0.7, 0.1]]), (0.5, 0.5), r"\(1, 2\), expected \(2,\)"),
+                          ([0.7, 0.1, 0.2], (0.5, 0.5), r"\(3,\), expected \(2,\)")],
+                         ids=["1x1-array", "1x2-array", "wrong-length-list"])
+def test_simulate_distance_rejects_wrong_shapes(returned, observed, shapes):
+    # the message names the returned shape and the expected one, not a count of rows
+    with pytest.raises(ValueError, match="simulator returned summaries of shape " + shapes):
         fixed_model(returned, observed).simulate_distance(np.array([0.5]),
                                                           np.random.default_rng(0))
 
@@ -252,8 +255,13 @@ def test_simulate_distance_names_theta_when_a_summary_is_infinite():
 
 
 @pytest.mark.parametrize("summaries, scale", [([3.0, 1.0], None), ([3.0, 1.0], [2.0, 0.5]),
-                                              ([1e-3, 7.0, -2.5], [0.3, 3.0, 1.7])])
+                                              ([1e-3, 7.0, -2.5], [0.3, 3.0, 1.7]),
+                                              ([0.7], None), ([0.7], [0.3]),
+                                              ([-2.9], None), ([-2.9], [1.7]),
+                                              ([0.25], None), ([0.25], [3.0]),
+                                              ([1e-170], None), ([-1e-170], [7.0])])
 def test_simulate_distance_matches_models_distance_bit_for_bit(summaries, scale):
+    # one summary takes the Python-float path, two or more the dot product; both match it
     observed = [0.25] * len(summaries)
     model = ModelSpec(name="fixed", prior=UniformBoxPrior([0.0], [1.0]),
                       simulator=lambda theta, rng: np.array(summaries), observed=observed,
@@ -261,6 +269,17 @@ def test_simulate_distance_matches_models_distance_bit_for_bit(summaries, scale)
     got = model.simulate_distance(np.array([0.5]), np.random.default_rng(0))
     want = plain_distance(summaries, observed, scale)
     assert got == want
+
+
+@pytest.mark.parametrize("scale", [None, [0.5]], ids=["unscaled", "scaled"])
+def test_simulate_distance_refuses_a_one_summary_distance_that_overflows(scale):
+    # 1e200 squared overflows: the distance is inf, refused with theta named, and no
+    # RuntimeWarning is raised on the way
+    model = ModelSpec(name="fixed", prior=UniformBoxPrior([0.0], [1.0]),
+                      simulator=lambda theta, rng: np.array([1e200]), observed=[0.0],
+                      summary_scale=scale)
+    with pytest.raises(ValueError, match=r"theta \[0\.5\], whose distance is inf"):
+        model.simulate_distance(np.array([0.5]), np.random.default_rng(0))
 
 
 def test_in_support_reads_lists_int_arrays_and_2d_arrays_as_before():
