@@ -41,10 +41,6 @@ CHAIN_STREAM_T = 0
 # grow to the cap of max(4n, 20000) attempts, so that is over 1e6 attempts at any n
 STALL_WAVES = 60
 
-# pool chunking, see _split_chunks
-CHUNKS_PER_WORKER = 4
-MIN_CHUNK = 64
-
 
 # type tests of the argument rules and of the config keys: a bool is not taken for a number
 def is_integer(v) -> bool:
@@ -131,10 +127,10 @@ def worker_pool(workers: int | str, model: ModelSpec):
     """``(workers, map)`` for the attempt chunks: the builtin ``map`` for one worker,
     else a process pool's, shut down however the block exits.
 
-    With ``workers > 1`` each wave is cut into a multiple of ``workers``
-    equal chunks (``_split_chunks``), so the workers finish a wave together.
-    Chunking only affects scheduling; results come back in submission
-    order, so the pool size never changes what a run produces.
+    Each wave is cut into ``min(workers, wave)`` contiguous chunks whose sizes
+    differ by at most one, so one worker takes a wave as one chunk. Chunking
+    only affects scheduling; results come back in submission order, so the
+    pool size never changes what a run produces.
     """
     workers = resolve_workers(workers)
     if workers == 1:
@@ -264,24 +260,6 @@ def _wave_size(n: int, accepted: int, attempted: int) -> int:
     return min(max(planned, 64), max(4 * n, 20_000))
 
 
-def _split_chunks(start: int, size: int, workers: int):
-    """Contiguous, ordered chunks tiling attempts ``[start, start + size)``.
-
-    One worker takes the wave as one chunk. Otherwise the chunk count is a
-    multiple of ``workers``, up to ``CHUNKS_PER_WORKER`` chunks each while a
-    chunk keeps at least ``MIN_CHUNK`` attempts, so every worker gets an
-    equal share of even the smallest wave. A wave smaller than ``workers``
-    runs one attempt per chunk.
-    """
-    if workers <= 1:
-        n_chunks = 1
-    else:
-        per_worker = min(CHUNKS_PER_WORKER, max(1, size // (workers * MIN_CHUNK)))
-        n_chunks = min(workers * per_worker, size)
-    bounds = np.linspace(start, start + size, n_chunks + 1).astype(int)
-    return [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-
-
 def _collect(
     model: ModelSpec,
     epsilon: float,
@@ -309,10 +287,9 @@ def _collect(
         wave = _wave_size(n, accepted, attempted)
         if remaining < wave:
             wave = remaining
-        chunk_args = [
-            (model, epsilon, seed, t, lo, hi, prev_thetas, prev_cumw, scale)
-            for lo, hi in _split_chunks(attempted, wave, workers)
-        ]
+        bounds = np.linspace(attempted, attempted + wave, min(workers, wave) + 1, dtype=int).tolist()
+        chunk_args = [(model, epsilon, seed, t, lo, hi, prev_thetas, prev_cumw, scale)
+                      for lo, hi in zip(bounds[:-1], bounds[1:])]
         before = accepted
         for thetas, dists, ancestors, accept in map_chunks(_run_attempt_chunk, chunk_args):
             if accepted < n and np.any(accept):

@@ -99,13 +99,16 @@ def test_rerun_is_identical():
     assert first.sims_used == second.sims_used
 
 
-@pytest.mark.parametrize("workers", [2, 8])
-def test_worker_count_invariance(workers):
+# each wave is cut into min(workers, wave) chunks: 300 splits unevenly at 8 workers, and 5
+# particles at 8 workers start with a wave of 5 one-attempt chunks, fewer than the workers
+@pytest.mark.parametrize("workers, n_particles", [(2, 300), (3, 300), (8, 300), (8, 5)],
+                         ids=["2", "3", "8", "8-first-wave-under-workers"])
+def test_worker_count_invariance(workers, n_particles):
     from popabc.benchmarks import get_model
 
     model = get_model("mixture-toy")
-    ref = abc_pmc(model, (2.0, 0.8), 300, seed=123, workers=1)
-    got = abc_pmc(model, (2.0, 0.8), 300, seed=123, workers=workers)
+    ref = abc_pmc(model, (2.0, 0.8), n_particles, seed=123, workers=1)
+    got = abc_pmc(model, (2.0, 0.8), n_particles, seed=123, workers=workers)
     for a, b in zip(ref, got):
         assert np.array_equal(a.thetas, b.thetas)
         assert np.array_equal(a.weights, b.weights)
@@ -155,29 +158,6 @@ def test_first_wave_matches_request_size():
     # within the floor of 64 and the cap of max(4n, 20000)
     assert engine._wave_size(100, 99, 100) == 64
     assert engine._wave_size(100, 0, 1000) == 20_000
-
-
-def test_split_chunks_tile_the_wave_evenly():
-    start = 777
-    for workers in (1, 2, 3, 8):
-        for size in (1, 2, 5, 64, 65, 391, 1000, 20_000):
-            chunks = engine._split_chunks(start, size, workers)
-            # contiguous and in order, covering [start, start + size) exactly
-            assert chunks[0][0] == start and chunks[-1][1] == start + size
-            assert all(lo < hi for lo, hi in chunks)
-            assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
-            lengths = [hi - lo for lo, hi in chunks]
-            if workers == 1:
-                assert len(chunks) == 1
-            elif size >= workers:
-                assert len(chunks) % workers == 0
-                assert len(chunks) <= engine.CHUNKS_PER_WORKER * workers
-                assert max(lengths) - min(lengths) <= 1
-            else:
-                assert lengths == [1] * size
-    # the coalescent-pmc waves at 2 workers
-    assert [hi - lo for lo, hi in engine._split_chunks(0, 1000, 2)] == [125] * 8
-    assert [hi - lo for lo, hi in engine._split_chunks(0, 64, 2)] == [32, 32]
 
 
 def test_budget_counts_partial_progress():
