@@ -23,8 +23,8 @@ POSTERIOR_VAR = 1.0 / POSTERIOR_PRECISION
 POSTERIOR_MEAN = N_OBS * OBSERVED_MEAN / POSTERIOR_PRECISION
 
 
-def simulate(theta: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    return np.array([rng.normal(float(theta[0]), 1.0, size=N_OBS).mean()])
+def simulate(theta: np.ndarray, rng: np.random.Generator) -> float:
+    return float(rng.normal(float(theta[0]), 1.0, size=N_OBS).mean())
 
 
 def model() -> ModelSpec:

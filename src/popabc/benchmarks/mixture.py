@@ -10,6 +10,7 @@ error in a sequential sampler show up directly in the posterior variance.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -34,10 +35,10 @@ _Z_WIDE = float(_phi(SUPPORT[1] / WIDE_SD) - _phi(SUPPORT[0] / WIDE_SD))
 _Z_NARROW = float(_phi(SUPPORT[1] / NARROW_SD) - _phi(SUPPORT[0] / NARROW_SD))
 
 
-def simulate(theta: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+def simulate(theta: np.ndarray, rng: np.random.Generator) -> float:
     sd = WIDE_SD if rng.random() < 0.5 else NARROW_SD
     # the draw of rng.normal(theta, sd), without the cost of its argument handling
-    return np.array([float(theta[0]) + sd * rng.standard_normal()])
+    return float(theta[0]) + sd * rng.standard_normal()
 
 
 def model() -> ModelSpec:
@@ -73,6 +74,7 @@ def _truncated_centered_variance(sd: float) -> float:
     return sd * sd * (1.0 - 2.0 * a * pdf / z)
 
 
+@lru_cache  # compare_to_oracle asks for the same two levels on every call
 def posterior_ppf(q: float) -> float:
     """Smallest x with posterior_cdf(x) >= q, by bisection down to adjacent floats."""
     if not 0.0 < q < 1.0:

@@ -7,7 +7,7 @@ from typing import Callable
 import numpy as np
 
 from . import kernel
-from .engine import Population
+from .engine import Population, run_starts
 
 QUANTILE_LEVELS = (0.025, 0.25, 0.5, 0.75, 0.975)
 ORACLE_GRID_SIZE = 512  # points of the KS grid in compare_to_oracle
@@ -18,6 +18,14 @@ def ess(weights: np.ndarray) -> float:
     weights = np.asarray(weights, dtype=float)
     kernel.check_weight_sum(weights)
     return float(1.0 / np.sum(weights * weights))
+
+
+def _runs_as_rows(thetas: np.ndarray, weights):
+    """Each run of rows with the same bits, weight included, as one row with the summed weight."""
+    starts = run_starts(np.column_stack((thetas, weights)))
+    if starts.size < len(thetas):  # a chain's repeated state; else the arrays as given
+        thetas, weights = thetas[starts], np.add.reduceat(weights, starts)
+    return thetas, weights
 
 
 def weighted_quantiles(values: np.ndarray, weights: np.ndarray, levels) -> list[float]:
@@ -84,10 +92,9 @@ def compare_to_oracle(
     the comparison deterministic and resolution-independent.
     """
     thetas = np.asarray(thetas, dtype=float)
-    if thetas.ndim == 2:
-        if thetas.shape[1] != 1:
-            raise ValueError("oracle comparison is defined for 1-d parameters")
-        thetas = thetas[:, 0]
+    if thetas.ndim == 2 and thetas.shape[1] != 1:
+        raise ValueError("oracle comparison is defined for 1-d parameters")
+    thetas, weights = _runs_as_rows(thetas.reshape(-1), weights)
     mean, var = kernel.weighted_moments(thetas, weights)
     mean_abs_err = abs(float(mean[0]) - oracle.mean)
     var_rel_err = abs(float(var[0]) - oracle.var) / oracle.var
@@ -107,9 +114,10 @@ def generation_stats(pop: Population) -> dict:
     at t=1, else its per-dimension variances ``{"tau2": [...]}``. A moment that
     is not a finite float64 is None, so the report stays strict JSON.
     """
+    thetas, weights = _runs_as_rows(pop.thetas, pop.weights)
     with np.errstate(over="ignore"):  # a spread wider than about 1e154 squares to inf
-        mean, var = kernel.weighted_moments(pop.thetas, pop.weights)
-    per_dim = [weighted_quantiles(pop.thetas[:, k], pop.weights, QUANTILE_LEVELS)
+        mean, var = kernel.weighted_moments(thetas, weights)
+    per_dim = [weighted_quantiles(thetas[:, k], weights, QUANTILE_LEVELS)
                for k in range(pop.dim)]
     quantiles = {str(q): [col[i] for col in per_dim] for i, q in enumerate(QUANTILE_LEVELS)}
     if pop.scale is None:

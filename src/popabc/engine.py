@@ -205,6 +205,12 @@ class Population:
         return self.thetas.shape[1]
 
 
+def run_starts(rows: np.ndarray) -> np.ndarray:
+    """First index of each run of consecutive (n, k) float64 rows with the same bits."""
+    bits = rows.view(np.uint64)
+    return np.flatnonzero(np.r_[True, np.any(bits[1:] != bits[:-1], axis=1)])
+
+
 def _run_attempt_chunk(args):
     """Evaluate attempts [lo, hi): one simulator call each, support-checked first.
 

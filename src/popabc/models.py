@@ -14,7 +14,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-Simulator = Callable[[np.ndarray, np.random.Generator], np.ndarray]
+Simulator = Callable[[np.ndarray, np.random.Generator], Union[np.ndarray, float]]
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -144,9 +144,9 @@ def _check_thetas(thetas, dim: int) -> np.ndarray:
 class ModelSpec:
     """Bundle of prior, simulator and observed summaries for one problem.
 
-    The simulator maps ``(theta, rng) -> summaries`` and must return a
-    vector of the same length as ``observed`` on every call. The optional
-    ``summary_scale`` divides each summary coordinate inside the distance.
+    The simulator maps ``(theta, rng) -> summaries`` and must return a vector of the
+    same length as ``observed`` on every call; with one summary a Python ``float`` is the
+    fast path. The optional ``summary_scale`` divides each summary coordinate inside the distance.
     """
 
     name: str
@@ -188,6 +188,10 @@ class ModelSpec:
         one-term dot product bit for bit; more summaries are summed by NumPy's dot.
         """
         summaries = self.simulator(theta, rng)
+        if type(summaries) is float and self._one_summary is not None:
+            x = (summaries - self._one_summary[0]) / self._one_summary[1]
+            if x * x < math.inf:  # a finite distance; else the array path below raises
+                return math.sqrt(x * x)
         if type(summaries) is not np.ndarray or summaries.dtype is not _FLOAT64:
             summaries = np.asarray(summaries, dtype=float)
         if summaries.ndim == 0:

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import Population
+from .engine import Population, run_starts
 
 # rows joined into each write of a population file
 ROWS_PER_WRITE = 4096
@@ -37,8 +37,7 @@ def write_population(path, pop: Population):
         + ",weight,distance"
     )
     table = np.column_stack((pop.thetas, pop.weights, pop.dists))
-    bits = table.view(np.uint64)
-    starts = np.flatnonzero(np.r_[True, np.any(bits[1:] != bits[:-1], axis=1)])
+    starts = run_starts(table)
     texts = list(map(",".join, map(map, repeat(repr), table[starts].tolist())))
     # each row's text ends with the next row's "t,": the last row is written on its own
     lengths = np.diff(starts, append=pop.n - 1).tolist()

@@ -136,7 +136,7 @@ def test_mixture_simulator_moments():
     # x | theta has mean theta and variance 0.5 * (1 + 0.01)
     model = get_model("mixture-toy")
     rng = np.random.default_rng(3)
-    draws = np.array([model.simulator(np.array([3.0]), rng)[0] for _ in range(50_000)])
+    draws = np.array([model.simulator(np.array([3.0]), rng) for _ in range(50_000)])
     assert abs(draws.mean() - 3.0) < 0.02
     assert abs(draws.var() - 0.505) / 0.505 < 0.05
 
@@ -145,13 +145,14 @@ def test_mixture_simulator_moments():
        seed=st.integers(min_value=0, max_value=2**64 - 1))
 @settings(max_examples=200, deadline=None)
 def test_mixture_simulator_draws_as_rng_normal_did(theta, seed):
-    # the earlier body drew rng.normal(theta, sd): the same summary, and the stream left at
-    # the same place, so the next draw agrees too
+    # the earlier body drew rng.normal(theta, sd) into a one-element array: the same summary,
+    # now a Python float, and the stream left at the same place, so the next draw agrees too
     rng, previous = (np.random.Generator(np.random.Philox(seed)) for _ in range(2))
     got = mixture.simulate(np.array([theta]), rng)
     sd = mixture.WIDE_SD if previous.random() < 0.5 else mixture.NARROW_SD
     want = np.array([previous.normal(theta, sd)])
-    assert got.tobytes() == want.tobytes() and got.shape == want.shape
+    assert type(got) is float
+    assert np.array([got]).tobytes() == want.tobytes()
     assert rng.random() == previous.random()
 
 
@@ -180,9 +181,9 @@ def test_conjugate_posterior_constants():
 
 def test_conjugate_simulator_is_mean_of_draws():
     rng = np.random.default_rng(4)
-    draws = np.array(
-        [conjugate.simulate(np.array([2.0]), rng)[0] for _ in range(20_000)]
-    )
+    draws = [conjugate.simulate(np.array([2.0]), rng) for _ in range(20_000)]
+    assert all(type(x) is float for x in draws)
+    draws = np.array(draws)
     assert abs(draws.mean() - 2.0) < 0.01
     assert abs(draws.var() - 0.1) / 0.1 < 0.05  # var of the mean of 10 unit normals
 

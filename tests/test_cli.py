@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -396,6 +400,30 @@ def test_mcmc_reports_the_chains_acceptance_rate(tmp_path, capsys):
     assert f"acc={rate:.3g}" in captured.err and f"acc={rate:.3g}" in captured.out
 
 
+def test_mcmc_report_is_the_same_at_one_and_two_blas_threads(tmp_path):
+    # the bundled chain repeats its state between acceptances; a sum over every chain row
+    # in a threaded BLAS call moved the report's moments in their last bits with the thread
+    # count. Each child process sets its own OPENBLAS_NUM_THREADS; a host with one CPU runs
+    # both children at one thread
+    config = Path(__file__).resolve().parent.parent / "configs" / "mixture_mcmc.yaml"
+    doc = {**yaml.safe_load(config.read_text()), "out_dir": "out"}
+    src = [str(Path(engine.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    reports = []
+    for threads in ("1", "2"):
+        rundir = tmp_path / f"threads{threads}"
+        rundir.mkdir()
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, src)))
+        done = subprocess.run([sys.executable, "-m", "popabc.cli", "run", "--config",
+                               write_config(rundir, doc)], cwd=rundir, env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        report = json.loads((rundir / "out" / "report.json").read_text())
+        del report["totals"]["wall_time_s"]
+        reports.append(report)
+    assert reports[0] == reports[1]
+
+
 def test_mcmc_budget_spent_in_the_start_draw_reports_its_counts(tmp_path):
     # the chain starts from a one-particle rejection draw; a budget spent there leaves
     # no chain step, and partial counts that draw, not chain steps
@@ -674,8 +702,6 @@ def test_parse_compare_copies_workers_only_where_read():
 
 
 def test_bundled_configs_validate():
-    from pathlib import Path
-
     configs = sorted(Path(__file__).resolve().parent.parent.glob("configs/*.yaml"))
     assert configs, "bundled configs missing"
     for cfg_path in configs:

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 
 from popabc.diagnostics import (
+    ORACLE_GRID_SIZE,
+    QUANTILE_LEVELS,
     PosteriorOracle,
     compare_to_oracle,
     ess,
@@ -255,3 +257,80 @@ def test_a_moment_that_overflows_float64_is_null():
     assert stats["weighted_var"] == [None]
     assert math.isfinite(stats["weighted_mean"][0])
     json.dumps(stats, allow_nan=False)
+
+
+# ---------------------------------------------------------------- runs of repeated rows
+
+
+def statistics_row_by_row(thetas, weights, oracle):
+    """The report's statistics and oracle errors taken over every row, one at a time."""
+    mean, var = weighted_moments(thetas, weights)
+    grid = np.linspace(oracle.ppf(0.001), oracle.ppf(0.999), ORACLE_GRID_SIZE)
+    ks = np.max(np.abs(weighted_ecdf(thetas, weights)(grid) - oracle.cdf(grid)))
+    return {"mean": float(mean[0]), "var": float(var[0]),
+            "quantiles": weighted_quantiles(thetas, weights, QUANTILE_LEVELS),
+            "ess": ess(weights), "mean_abs_err": abs(float(mean[0]) - oracle.mean),
+            "var_rel_err": abs(float(var[0]) - oracle.var) / oracle.var, "ks": float(ks)}
+
+
+def statistics_as_reported(thetas, weights, oracle):
+    pop = Population(t=1, epsilon=1.0, thetas=thetas, weights=weights,
+                     dists=np.zeros(len(thetas)), scale=None, sims_used=len(thetas))
+    stats = generation_stats(pop)
+    errors = compare_to_oracle(thetas, weights, oracle)
+    return {"mean": stats["weighted_mean"][0], "var": stats["weighted_var"][0],
+            "quantiles": [stats["quantiles"][str(q)][0] for q in QUANTILE_LEVELS],
+            "ess": stats["ess"], "mean_abs_err": errors.mean_abs_err,
+            "var_rel_err": errors.var_rel_err, "ks": errors.ks_statistic}
+
+
+def exact_quantiles(thetas, weights):
+    """Per level, the set of values the left-continuous weighted quantile may be: the smallest
+    value whose exactly summed cumulative weight reaches the level, and also the next one
+    where that sum meets the level within rounding (a tie that float sums decide)."""
+    values = np.unique(thetas)
+    cum = np.array([math.fsum(weights[thetas <= v]) for v in values])
+    allowed = []
+    for q in QUANTILE_LEVELS:
+        j = min(int(np.searchsorted(cum, q - 1e-12)), values.size - 1)
+        tie = abs(cum[j] - q) <= 1e-12
+        allowed.append({values[j], values[min(j + 1, values.size - 1)]} if tie else {values[j]})
+    return allowed
+
+
+@given(rows=st.lists(st.tuples(st.floats(min_value=-50, max_value=50), st.integers(1, 12),
+                               st.floats(min_value=1e-3, max_value=1.0)),
+                     min_size=1, max_size=40, unique_by=lambda row: row[0]),
+       equal_weights=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_runs_of_repeated_rows_change_no_statistic(rows, equal_weights):
+    # a chain repeats its state between acceptances: each run of repeated rows is taken as
+    # one row with the run's weight. The statistics match those taken row by row, and a
+    # population with no repeated row gives them bit for bit. A quantile level that a
+    # cumulative weight meets within rounding may go to either neighbour, on either path
+    values, counts, raw = (np.array(col) for col in zip(*rows))
+    if equal_weights:  # an MCMC chain's weights
+        raw = np.ones_like(raw)
+    oracle = normal_oracle(mean=1.0, sd=20.0)
+    once = raw / raw.sum()
+    once_reported = statistics_as_reported(values, once, oracle)
+    assert once_reported == statistics_row_by_row(values, once, oracle)
+
+    thetas = np.repeat(values, counts)
+    weights = np.repeat(raw, counts)
+    weights = weights / weights.sum()
+    got = statistics_as_reported(thetas, weights, oracle)
+    want = statistics_row_by_row(thetas, weights, oracle)
+    for q, allowed, g, w in zip(QUANTILE_LEVELS, exact_quantiles(thetas, weights),
+                                got["quantiles"], want["quantiles"]):
+        assert g in allowed and w in allowed, q
+        assert len(allowed) == 2 or g == w, q
+    assert got["ess"] == want["ess"]
+    spread = max(1.0, float(np.max(np.abs(values))))
+    assert got["mean"] == pytest.approx(want["mean"], rel=1e-12, abs=1e-12 * spread)
+    assert got["var"] == pytest.approx(want["var"], rel=1e-12, abs=1e-12 * spread**2)
+    assert got["mean_abs_err"] == pytest.approx(want["mean_abs_err"], rel=1e-12,
+                                                abs=1e-12 * spread)
+    assert got["var_rel_err"] == pytest.approx(want["var_rel_err"], rel=1e-12,
+                                               abs=1e-12 * spread**2 / oracle.var)
+    assert got["ks"] == pytest.approx(want["ks"], rel=1e-12, abs=1e-12)

@@ -282,6 +282,52 @@ def test_simulate_distance_refuses_a_one_summary_distance_that_overflows(scale):
         model.simulate_distance(np.array([0.5]), np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("scale", [None, [0.5]], ids=["unscaled", "scaled"])
+def test_a_float_summary_with_no_finite_distance_raises_the_array_error(value, scale):
+    # a Python float takes the fast path only when its distance is finite; else it gets
+    # the array path's message, word for word
+    messages = []
+    for returned in (value, np.array([value])):
+        model = ModelSpec(name="fixed", prior=UniformBoxPrior([0.0], [1.0]),
+                          simulator=lambda theta, rng, r=returned: r, observed=[0.0],
+                          summary_scale=scale)
+        with pytest.raises(ValueError, match="whose distance is") as caught:
+            model.simulate_distance(np.array([0.5]), np.random.default_rng(0))
+        messages.append(str(caught.value))
+    assert messages[0] == messages[1]
+    assert "theta [0.5]" in messages[0]
+
+
+def test_a_float_returned_to_a_three_summary_model_raises_the_shape_error():
+    with pytest.raises(ValueError, match=r"summaries of shape \(1,\), expected \(3,\)"):
+        fixed_model(0.7, observed=(0.5, 0.5, 0.5)).simulate_distance(
+            np.array([0.5]), np.random.default_rng(0))
+
+
+@given(x=st.floats(allow_nan=False, allow_infinity=False),
+       observed=st.floats(min_value=-1e6, max_value=1e6),
+       scale=st.one_of(st.none(), st.floats(min_value=1e-3, max_value=1e3)))
+@settings(max_examples=200, deadline=None)
+def test_float_and_numpy_float_returns_give_bit_equal_distances(x, observed, scale):
+    # a float takes the fast path and an np.float64 the array path: the same bits, or the
+    # same error when the distance overflows
+    got = []
+    for returned in (x, np.float64(x)):
+        model = ModelSpec(name="fixed", prior=UniformBoxPrior([0.0], [1.0]),
+                          simulator=lambda theta, rng, r=returned: r, observed=[observed],
+                          summary_scale=None if scale is None else [scale])
+        try:
+            got.append(model.simulate_distance(np.array([0.5]), np.random.default_rng(0)))
+        except ValueError as exc:
+            got.append(str(exc))
+    assert type(got[0]) is type(got[1])
+    if isinstance(got[0], str):
+        assert got[0] == got[1]
+    else:
+        assert float.hex(got[0]) == float.hex(got[1])
+
+
 def test_in_support_reads_lists_int_arrays_and_2d_arrays_as_before():
     box = UniformBoxPrior([0.0, 0.0], [1.0, 2.0])
     normal = IndependentNormalPrior([0.0, 0.0], [1.0, 1.0])
