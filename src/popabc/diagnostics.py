@@ -22,10 +22,10 @@ def ess(weights: np.ndarray) -> float:
 
 def _runs_as_rows(thetas: np.ndarray, weights):
     """Each run of rows with the same bits, weight included, as one row with the summed weight."""
+    if np.shape(weights) != thetas.shape[:1]:
+        raise ValueError("weights must be 1-d and match the number of particles")
     starts = run_starts(np.column_stack((thetas, weights)))
-    if starts.size < len(thetas):  # a chain's repeated state; else the arrays as given
-        thetas, weights = thetas[starts], np.add.reduceat(weights, starts)
-    return thetas, weights
+    return thetas[starts], np.add.reduceat(weights, starts)
 
 
 def weighted_quantiles(values: np.ndarray, weights: np.ndarray, levels) -> list[float]:

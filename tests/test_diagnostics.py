@@ -173,6 +173,12 @@ def test_compare_to_oracle_rejects_multidim():
         compare_to_oracle(np.zeros((5, 2)), np.full(5, 0.2), normal_oracle())
 
 
+@pytest.mark.parametrize("weights", [np.full(4, 0.25), np.full((5, 1), 0.2)])
+def test_compare_to_oracle_rejects_weights_that_do_not_match_the_particles(weights):
+    with pytest.raises(ValueError, match="weights must be 1-d and match the number"):
+        compare_to_oracle(np.zeros(5), weights, normal_oracle())
+
+
 # ---------------------------------------------------------------- ks distance
 
 
