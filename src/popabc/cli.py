@@ -25,8 +25,6 @@ from . import benchmarks, persist
 from .config import (
     CompareConfig,
     RunConfig,
-    load_compare_config,
-    load_run_config,
     load_yaml,
     parse_compare_config,
     parse_run_config,
@@ -246,18 +244,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
+        doc = load_yaml(args.config)
         if args.command == "run":
-            cfg = load_run_config(args.config)
-            code, report, _ = execute_run(cfg)
+            code, report, _ = execute_run(parse_run_config(doc, context=str(args.config)))
             _print_run_summary(report)
             return code
         if args.command == "compare":
-            cfg = load_compare_config(args.config)
-            code, report = execute_compare(cfg)
+            code, report = execute_compare(parse_compare_config(doc))
             _print_compare_summary(report)
             return code
         # validate: accept either config flavor
-        doc = load_yaml(args.config)
         if "algorithms" in doc:
             parse_compare_config(doc)
         else:

@@ -222,10 +222,3 @@ def load_yaml(path) -> dict:
         raise ConfigError(f"{path}: expected a mapping at the top level")
     return doc
 
-
-def load_run_config(path) -> RunConfig:
-    return parse_run_config(load_yaml(path), context=str(path))
-
-
-def load_compare_config(path) -> CompareConfig:
-    return parse_compare_config(load_yaml(path))

@@ -69,10 +69,7 @@ class UniformBoxPrior:
 
     def in_support(self, theta) -> bool:
         lows, highs = self._bounds
-        if type(theta) is np.ndarray and theta.dtype is _FLOAT64 and theta.shape == self.lows.shape:
-            values = theta.tolist()  # already a float vector of the right shape: no copy
-        else:
-            values = _check_theta(theta, len(lows)).tolist()
+        values = _check_theta(theta, len(lows))
         return all(map(operator.le, lows, values)) and all(map(operator.le, values, highs))
 
 
@@ -113,22 +110,19 @@ class IndependentNormalPrior:
 
     def in_support(self, theta) -> bool:
         """A Gaussian's support is all of R^d: every finite vector of the right length."""
-        if (type(theta) is np.ndarray and theta.dtype is _FLOAT64
-                and theta.shape == self.means.shape):
-            values = theta.tolist()  # already a float vector of the right shape: no copy
-        else:
-            values = _check_theta(theta, self.dim).tolist()
-        return all(map(math.isfinite, values))
+        return all(map(math.isfinite, _check_theta(theta, self.dim)))
 
 
 PriorSpec = Union[UniformBoxPrior, IndependentNormalPrior]
 
 
-def _check_theta(theta, dim: int) -> np.ndarray:
-    theta = np.array(theta, dtype=float, ndmin=1)
-    if theta.shape != (dim,):
-        raise ValueError(f"parameter vector has shape {theta.shape}, expected ({dim},)")
-    return theta
+def _check_theta(theta, dim: int) -> list:
+    """``theta`` as ``dim`` Python floats; a float64 vector of that shape is read with no copy."""
+    if type(theta) is not np.ndarray or theta.dtype is not _FLOAT64 or theta.shape != (dim,):
+        theta = np.array(theta, dtype=float, ndmin=1)
+        if theta.shape != (dim,):
+            raise ValueError(f"parameter vector has shape {theta.shape}, expected ({dim},)")
+    return theta.tolist()
 
 
 def _check_thetas(thetas, dim: int) -> np.ndarray:
@@ -188,29 +182,28 @@ class ModelSpec:
         one-term dot product bit for bit; more summaries are summed by NumPy's dot.
         """
         summaries = self.simulator(theta, rng)
-        if type(summaries) is float and self._one_summary is not None:
-            x = (summaries - self._one_summary[0]) / self._one_summary[1]
-            if x * x < math.inf:  # a finite distance; else the array path below raises
-                return math.sqrt(x * x)
-        if type(summaries) is not np.ndarray or summaries.dtype is not _FLOAT64:
-            summaries = np.asarray(summaries, dtype=float)
-        if summaries.ndim == 0:
-            summaries = summaries.reshape(1)
-        if summaries.shape != self.observed.shape:
-            raise ValueError(f"simulator returned summaries of shape {summaries.shape}, "
-                             f"expected {self.observed.shape}")
-        if self._one_summary is not None:
-            observed, scale = self._one_summary
-            x = (summaries.item() - observed) / scale
+        one_summary = self._one_summary
+        if type(summaries) is not float or one_summary is None:
+            if type(summaries) is not np.ndarray or summaries.dtype is not _FLOAT64:
+                summaries = np.asarray(summaries, dtype=float)
+            if summaries.ndim == 0:
+                summaries = summaries.reshape(1)
+            if summaries.shape != self.observed.shape:
+                raise ValueError(f"simulator returned summaries of shape {summaries.shape}, "
+                                 f"expected {self.observed.shape}")
+            if one_summary is not None:
+                summaries = summaries.item()
+        if one_summary is not None:
+            x = (summaries - one_summary[0]) / one_summary[1]
             dist = math.sqrt(x * x)
         else:
             diff = summaries - self.observed
             if self.summary_scale is not None:
                 diff = diff / self.summary_scale
-            dist = math.sqrt(diff.dot(diff))
+            dist = math.sqrt(np.vdot(diff, diff))  # unlike ndarray.dot, no overflow warning
         if not math.isfinite(dist):
             raise ValueError(
-                f"simulator returned summaries {summaries.tolist()} at theta "
+                f"simulator returned summaries {np.atleast_1d(summaries).tolist()} at theta "
                 f"{np.asarray(theta).tolist()}, whose distance is {dist}"
             )
         return dist

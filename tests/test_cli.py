@@ -13,7 +13,7 @@ import yaml
 from popabc import benchmarks, engine, kernel, persist
 from popabc.benchmarks import get_model, mixture
 from popabc.cli import execute_compare, execute_run, main
-from popabc.config import load_run_config, parse_compare_config, parse_run_config
+from popabc.config import load_yaml, parse_compare_config, parse_run_config
 from popabc.errors import ConfigError
 from popabc.models import ModelSpec, UniformBoxPrior
 from popabc.samplers import ToleranceSchedule, abc_mcmc, abc_pmc, abc_rejection
@@ -67,6 +67,15 @@ def test_validate_missing_required_key(tmp_path, capsys):
     assert "n_particles" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_a_run_config_error_names_the_file(tmp_path, capsys, command):
+    doc = pmc_doc()
+    del doc["n_particles"]
+    path = write_config(tmp_path, doc)
+    assert main([command, "--config", path]) == 2
+    assert f"error: {path}: " in capsys.readouterr().err
+
+
 def test_validate_unknown_key(tmp_path, capsys):
     for key, value in (("particles", 10), ("auto_schedule", {"quantile": 0.5, "generations": 4})):
         path = write_config(tmp_path, pmc_doc(**{key: value}))
@@ -74,8 +83,9 @@ def test_validate_unknown_key(tmp_path, capsys):
         assert key in capsys.readouterr().err
 
 
-def test_validate_missing_file():
-    assert main(["validate", "--config", "/nonexistent/cfg.yaml"]) == 2
+@pytest.mark.parametrize("command", ["run", "compare", "validate"])
+def test_validate_missing_file(command):
+    assert main([command, "--config", "/nonexistent/cfg.yaml"]) == 2
 
 
 @pytest.mark.parametrize("command", ["run", "compare", "validate"])
@@ -215,7 +225,7 @@ def test_parse_accepts_the_default_of_a_key_the_algorithm_does_not_read():
 
 def test_load_run_config_round_trip(tmp_path):
     path = write_config(tmp_path, pmc_doc(workers="auto", budget=10_000))
-    cfg = load_run_config(path)
+    cfg = parse_run_config(load_yaml(path), context=str(path))
     assert cfg.workers == "auto"
     assert cfg.budget == 10_000
     assert cfg.schedule.epsilons == (3.0, 1.5)

@@ -271,13 +271,15 @@ def test_simulate_distance_matches_models_distance_bit_for_bit(summaries, scale)
     assert got == want
 
 
-@pytest.mark.parametrize("scale", [None, [0.5]], ids=["unscaled", "scaled"])
-def test_simulate_distance_refuses_a_one_summary_distance_that_overflows(scale):
+@pytest.mark.parametrize("returned, scale",
+                         [([1e200], None), ([1e200], [0.5]), ([1e200, 0.0, 0.0], None)],
+                         ids=["unscaled", "scaled", "three-summaries"])
+def test_simulate_distance_refuses_a_distance_that_overflows(returned, scale):
     # 1e200 squared overflows: the distance is inf, refused with theta named, and no
-    # RuntimeWarning is raised on the way
+    # RuntimeWarning is raised on the way, whether it takes the float formula or the dot
     model = ModelSpec(name="fixed", prior=UniformBoxPrior([0.0], [1.0]),
-                      simulator=lambda theta, rng: np.array([1e200]), observed=[0.0],
-                      summary_scale=scale)
+                      simulator=lambda theta, rng: np.array(returned),
+                      observed=[0.0] * len(returned), summary_scale=scale)
     with pytest.raises(ValueError, match=r"theta \[0\.5\], whose distance is inf"):
         model.simulate_distance(np.array([0.5]), np.random.default_rng(0))
 
@@ -285,8 +287,8 @@ def test_simulate_distance_refuses_a_one_summary_distance_that_overflows(scale):
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize("scale", [None, [0.5]], ids=["unscaled", "scaled"])
 def test_a_float_summary_with_no_finite_distance_raises_the_array_error(value, scale):
-    # a Python float takes the fast path only when its distance is finite; else it gets
-    # the array path's message, word for word
+    # a float and a one-element array take the same formula and raise the same message,
+    # word for word
     messages = []
     for returned in (value, np.array([value])):
         model = ModelSpec(name="fixed", prior=UniformBoxPrior([0.0], [1.0]),
@@ -310,10 +312,10 @@ def test_a_float_returned_to_a_three_summary_model_raises_the_shape_error():
        scale=st.one_of(st.none(), st.floats(min_value=1e-3, max_value=1e3)))
 @settings(max_examples=200, deadline=None)
 def test_float_and_numpy_float_returns_give_bit_equal_distances(x, observed, scale):
-    # a float takes the fast path and an np.float64 the array path: the same bits, or the
-    # same error when the distance overflows
+    # a float, an np.float64 and a one-element array all take the float formula: the same
+    # bits, or the same error when the distance overflows
     got = []
-    for returned in (x, np.float64(x)):
+    for returned in (x, np.float64(x), np.array([x])):
         model = ModelSpec(name="fixed", prior=UniformBoxPrior([0.0], [1.0]),
                           simulator=lambda theta, rng, r=returned: r, observed=[observed],
                           summary_scale=None if scale is None else [scale])
@@ -321,11 +323,11 @@ def test_float_and_numpy_float_returns_give_bit_equal_distances(x, observed, sca
             got.append(model.simulate_distance(np.array([0.5]), np.random.default_rng(0)))
         except ValueError as exc:
             got.append(str(exc))
-    assert type(got[0]) is type(got[1])
+    assert type(got[0]) is type(got[1]) is type(got[2])
     if isinstance(got[0], str):
-        assert got[0] == got[1]
+        assert got[0] == got[1] == got[2]
     else:
-        assert float.hex(got[0]) == float.hex(got[1])
+        assert float.hex(got[0]) == float.hex(got[1]) == float.hex(got[2])
 
 
 def test_in_support_reads_lists_int_arrays_and_2d_arrays_as_before():
