@@ -42,5 +42,4 @@ def oracle() -> PosteriorOracle:
         mean=POSTERIOR_MEAN,
         var=POSTERIOR_VAR,
         cdf=np.vectorize(posterior.cdf, otypes=[float]),
-        ppf=posterior.inv_cdf,
     )

@@ -10,7 +10,6 @@ error in a sequential sampler show up directly in the posterior variance.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -74,23 +73,7 @@ def _truncated_centered_variance(sd: float) -> float:
     return sd * sd * (1.0 - 2.0 * a * pdf / z)
 
 
-@lru_cache  # compare_to_oracle asks for the same two levels on every call
-def posterior_ppf(q: float) -> float:
-    """Smallest x with posterior_cdf(x) >= q, by bisection down to adjacent floats."""
-    if not 0.0 < q < 1.0:
-        raise ValueError("q must lie in (0, 1)")
-    lo, hi = SUPPORT  # posterior_cdf(lo) < q <= posterior_cdf(hi) throughout
-    while True:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            return hi
-        if posterior_cdf(mid) < q:
-            lo = mid
-        else:
-            hi = mid
-
-
 def oracle() -> PosteriorOracle:
     mean, var = posterior_moments()
-    return PosteriorOracle(mean=mean, var=var, cdf=posterior_cdf, ppf=posterior_ppf)
+    return PosteriorOracle(mean=mean, var=var, cdf=posterior_cdf)
 

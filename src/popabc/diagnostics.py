@@ -10,7 +10,6 @@ from . import kernel
 from .engine import Population, run_starts
 
 QUANTILE_LEVELS = (0.025, 0.25, 0.5, 0.75, 0.975)
-ORACLE_GRID_SIZE = 512  # points of the KS grid in compare_to_oracle
 
 
 def ess(weights: np.ndarray) -> float:
@@ -32,7 +31,10 @@ def weighted_quantiles(values: np.ndarray, weights: np.ndarray, levels) -> list[
     """Left-continuous inverse of the weighted empirical CDF at each level in (0, 1).
 
     At level q it is the smallest sample value whose cumulative weight reaches
-    q. Every level comes from one stable sort and one cumulative sum.
+    q to within ``kernel.WEIGHT_SUM_TOL``, the precision the weights are held
+    to. So a level that k of n equal weights, or a run's summed weight, meets
+    exactly is met, though the float sum may fall short of it by rounding.
+    Every level comes from one stable sort and one cumulative sum.
     """
     levels = np.asarray(levels, dtype=float)
     if not np.all((levels > 0.0) & (levels < 1.0)):
@@ -44,8 +46,8 @@ def weighted_quantiles(values: np.ndarray, weights: np.ndarray, levels) -> list[
     kernel.check_weight_sum(weights)
     order = np.argsort(values, kind="stable")
     cum = np.cumsum(weights[order])
-    idx = np.minimum(np.searchsorted(cum, levels, side="left"), values.size - 1)
-    return [float(v) for v in values[order[idx]]]
+    idx = np.searchsorted(cum, levels - kernel.WEIGHT_SUM_TOL, side="left")
+    return [float(v) for v in values[order[np.minimum(idx, values.size - 1)]]]
 
 
 def weighted_ecdf(values: np.ndarray, weights: np.ndarray):
@@ -65,12 +67,11 @@ def weighted_ecdf(values: np.ndarray, weights: np.ndarray):
 
 @dataclass(frozen=True)
 class PosteriorOracle:
-    """Analytic reference posterior: first two moments plus CDF and quantile maps."""
+    """Analytic reference posterior: first two moments and a continuous, vectorized CDF."""
 
     mean: float
     var: float
     cdf: Callable[[np.ndarray], np.ndarray]
-    ppf: Callable[[float], float]
 
 
 @dataclass(frozen=True)
@@ -87,9 +88,9 @@ def compare_to_oracle(
 ) -> OracleComparison:
     """Weighted-sample error against an analytic posterior (1-d models).
 
-    The KS statistic compares the weighted empirical CDF with the oracle CDF
-    on a fixed grid spanning the oracle's central 99.8% range, which keeps
-    the comparison deterministic and resolution-independent.
+    The KS statistic is the exact supremum of |weighted ECDF - oracle CDF|. The
+    ECDF steps only at the sample's values and the oracle CDF is continuous, so
+    the supremum is reached at a value or in the limit just below it.
     """
     thetas = np.asarray(thetas, dtype=float)
     if thetas.ndim == 2 and thetas.shape[1] != 1:
@@ -98,9 +99,8 @@ def compare_to_oracle(
     mean, var = kernel.weighted_moments(thetas, weights)
     mean_abs_err = abs(float(mean[0]) - oracle.mean)
     var_rel_err = abs(float(var[0]) - oracle.var) / oracle.var
-    grid = np.linspace(oracle.ppf(0.001), oracle.ppf(0.999), ORACLE_GRID_SIZE)
-    empirical = weighted_ecdf(thetas, weights)(grid)
-    ks = float(np.max(np.abs(empirical - np.asarray(oracle.cdf(grid), dtype=float))))
+    steps = weighted_ecdf(thetas, weights)(np.stack((thetas, np.nextafter(thetas, -np.inf))))
+    ks = float(np.max(np.abs(steps - oracle.cdf(thetas))))
     return OracleComparison(mean_abs_err, var_rel_err, ks)
 
 

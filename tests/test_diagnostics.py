@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import norm
+from scipy.stats import kstest, norm
 
 from popabc.diagnostics import (
-    ORACLE_GRID_SIZE,
     QUANTILE_LEVELS,
     PosteriorOracle,
     compare_to_oracle,
@@ -17,7 +16,7 @@ from popabc.diagnostics import (
     weighted_ecdf,
     weighted_quantiles,
 )
-from popabc.kernel import weighted_moments
+from popabc.kernel import WEIGHT_SUM_TOL, weighted_moments
 from popabc.models import ModelSpec, UniformBoxPrior
 from popabc.samplers import Population, abc_rejection
 
@@ -27,7 +26,6 @@ def normal_oracle(mean=0.0, sd=1.0):
         mean=mean,
         var=sd * sd,
         cdf=lambda x: norm.cdf(x, loc=mean, scale=sd),
-        ppf=lambda q: float(norm.ppf(q, loc=mean, scale=sd)),
     )
 
 
@@ -126,6 +124,18 @@ def test_weighted_quantiles_checks_values_and_weights():
             weighted_quantiles(values, weights, [0.5])
 
 
+def test_weighted_quantiles_meet_a_level_that_the_float_sum_misses_by_rounding():
+    # np.cumsum of 2000 weights of 1/2000 reaches 0.7499999999999999 after 1500 of them, and
+    # of ten weights of 0.05 reaches 0.49999999999999994, where 1500 and 10 rows meet each
+    # level exactly; so does a run of six rows of 1/12, whose summed weight rounds below 0.5
+    assert weighted_quantiles(np.arange(2000.0), np.full(2000, 1 / 2000),
+                              [0.75, 0.975]) == [1499.0, 1949.0]
+    values = np.concatenate((np.zeros(10), np.ones(10)))
+    assert weighted_quantiles(values, np.full(20, 0.05), [0.5]) == [0.0]
+    runs = np.add.reduceat(np.full(12, 1 / 12), [0, 6])
+    assert weighted_quantiles(np.array([0.0, 1.0]), runs, [0.5]) == [0.0]
+
+
 @given(st.lists(st.floats(min_value=-100, max_value=100), min_size=3, max_size=30))
 @settings(max_examples=50)
 def test_weighted_quantile_monotone_in_q(values):
@@ -166,6 +176,29 @@ def test_compare_to_oracle_shifted_sample():
         np.array([oracle.mean + 1.0]), np.array([1.0]), oracle
     )
     assert result.mean_abs_err == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 7, 500])
+def test_compare_to_oracle_ks_is_scipys_one_sample_ks_at_equal_weights(n):
+    draws = np.random.default_rng(n).normal(0.3, 1.2, n)
+    oracle = normal_oracle()
+    got = compare_to_oracle(draws, np.full(n, 1 / n), oracle).ks_statistic
+    assert got == pytest.approx(kstest(draws, oracle.cdf).statistic, rel=1e-12)
+
+
+def test_compare_to_oracle_ks_is_the_exact_supremum_over_weighted_repeated_values():
+    # repeated values that are not consecutive stay separate rows; the ECDF takes them together
+    values = np.array([0.4, -1.0, 0.4, 2.5, -1.0, 0.1, 0.4, -0.2])
+    raw = np.array([3.0, 1.0, 2.0, 0.5, 4.0, 1.5, 1.0, 2.0])
+    weights = raw / raw.sum()
+    oracle = normal_oracle(mean=0.2, sd=0.8)
+    want = 0.0
+    for v in np.unique(values):
+        cdf = float(oracle.cdf(v))
+        at, below = math.fsum(weights[values <= v]), math.fsum(weights[values < v])
+        want = max(want, abs(at - cdf), abs(below - cdf))
+    got = compare_to_oracle(values, weights, oracle).ks_statistic
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_compare_to_oracle_rejects_multidim():
@@ -269,10 +302,12 @@ def test_a_moment_that_overflows_float64_is_null():
 
 
 def statistics_row_by_row(thetas, weights, oracle):
-    """The report's statistics and oracle errors taken over every row, one at a time."""
+    """The report's statistics and oracle errors taken over every row, one at a time. KS is
+    the supremum of |ECDF - CDF|, reached at a row's value or just below it."""
     mean, var = weighted_moments(thetas, weights)
-    grid = np.linspace(oracle.ppf(0.001), oracle.ppf(0.999), ORACLE_GRID_SIZE)
-    ks = np.max(np.abs(weighted_ecdf(thetas, weights)(grid) - oracle.cdf(grid)))
+    ecdf, cdf = weighted_ecdf(thetas, weights), oracle.cdf(thetas)
+    ks = max(np.max(np.abs(ecdf(thetas) - cdf)),
+             np.max(np.abs(ecdf(np.nextafter(thetas, -np.inf)) - cdf)))
     return {"mean": float(mean[0]), "var": float(var[0]),
             "quantiles": weighted_quantiles(thetas, weights, QUANTILE_LEVELS),
             "ess": ess(weights), "mean_abs_err": abs(float(mean[0]) - oracle.mean),
@@ -291,17 +326,12 @@ def statistics_as_reported(thetas, weights, oracle):
 
 
 def exact_quantiles(thetas, weights):
-    """Per level, the set of values the left-continuous weighted quantile may be: the smallest
-    value whose exactly summed cumulative weight reaches the level, and also the next one
-    where that sum meets the level within rounding (a tie that float sums decide)."""
+    """Per level, the smallest value whose exactly summed cumulative weight reaches it, to
+    within the weights' precision."""
     values = np.unique(thetas)
-    cum = np.array([math.fsum(weights[thetas <= v]) for v in values])
-    allowed = []
-    for q in QUANTILE_LEVELS:
-        j = min(int(np.searchsorted(cum, q - 1e-12)), values.size - 1)
-        tie = abs(cum[j] - q) <= 1e-12
-        allowed.append({values[j], values[min(j + 1, values.size - 1)]} if tie else {values[j]})
-    return allowed
+    cum = [math.fsum(weights[thetas <= v]) for v in values]
+    return [float(values[min(int(np.searchsorted(cum, q - WEIGHT_SUM_TOL)), values.size - 1)])
+            for q in QUANTILE_LEVELS]
 
 
 @given(rows=st.lists(st.tuples(st.floats(min_value=-50, max_value=50), st.integers(1, 12),
@@ -312,8 +342,7 @@ def exact_quantiles(thetas, weights):
 def test_runs_of_repeated_rows_change_no_statistic(rows, equal_weights):
     # a chain repeats its state between acceptances: each run of repeated rows is taken as
     # one row with the run's weight. The statistics match those taken row by row, and a
-    # population with no repeated row gives them bit for bit. A quantile level that a
-    # cumulative weight meets within rounding may go to either neighbour, on either path
+    # population with no repeated row gives them bit for bit. Quantiles are exact on both paths
     values, counts, raw = (np.array(col) for col in zip(*rows))
     if equal_weights:  # an MCMC chain's weights
         raw = np.ones_like(raw)
@@ -327,10 +356,7 @@ def test_runs_of_repeated_rows_change_no_statistic(rows, equal_weights):
     weights = weights / weights.sum()
     got = statistics_as_reported(thetas, weights, oracle)
     want = statistics_row_by_row(thetas, weights, oracle)
-    for q, allowed, g, w in zip(QUANTILE_LEVELS, exact_quantiles(thetas, weights),
-                                got["quantiles"], want["quantiles"]):
-        assert g in allowed and w in allowed, q
-        assert len(allowed) == 2 or g == w, q
+    assert got["quantiles"] == want["quantiles"] == exact_quantiles(thetas, weights)
     assert got["ess"] == want["ess"]
     spread = max(1.0, float(np.max(np.abs(values))))
     assert got["mean"] == pytest.approx(want["mean"], rel=1e-12, abs=1e-12 * spread)
